@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .errors import StableChaosError
+from .errors import ConfigError, StableChaosError
 from .harness import parse_config, run_experiment
 from .models import assumption_audit
 
@@ -36,15 +36,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _env_int(name: str, default):
+    """Integer override from the environment, or ``default`` when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = args.seed
-    if seed is None and "STABLECHAOS_SEED" in os.environ:
-        seed = int(os.environ["STABLECHAOS_SEED"])
     out_dir = os.environ.get("STABLECHAOS_OUT", args.out)
-    threads = int(os.environ.get("STABLECHAOS_THREADS", args.threads))
 
     try:
+        seed = args.seed if args.seed is not None else _env_int("STABLECHAOS_SEED", None)
+        threads = _env_int("STABLECHAOS_THREADS", args.threads)
+        if threads < 1:
+            source = "STABLECHAOS_THREADS" if "STABLECHAOS_THREADS" in os.environ else "--threads"
+            raise ConfigError(f"{source} must be at least 1, got {threads}")
         cfg = parse_config(args.config, seed_override=seed)
     except (StableChaosError, OSError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,12 +23,7 @@ from .errors import ConfigError
 from .limit_system import LimitConfig, simulate_limit
 from .metrics import d_q
 from .models import ModelSpec
-from .particle_system import (
-    JumpLedger,
-    _window_index,
-    proposal_events,
-    simulate_finite,
-)
+from .particle_system import JumpLedger, proposal_events, simulate_finite
 from .rngtools import particle_streams, stream
 from .stable_process import DrivingPath, path_from_window_sums
 
@@ -41,44 +37,6 @@ def resolve_stable(collateral) -> StableSpec:
     raise ConfigError(f"unsupported collateral law {type(collateral).__name__}")
 
 
-@dataclass(frozen=True)
-class WindowVariable:
-    """One window's normalized random-sum variable."""
-
-    k: int
-    P: int
-    W: float
-    fresh: bool
-
-
-def window_aggregate(ledger: JumpLedger) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window accepted counts and collateral sums, recomputed from raw events."""
-    acc = ledger.accepted
-    counts = np.zeros(ledger.n_windows, dtype=np.int64)
-    sums = np.zeros(ledger.n_windows)
-    if np.any(acc):
-        ks = _window_index(ledger.times[acc], ledger.delta, ledger.n_windows)
-        counts = np.bincount(ks, minlength=ledger.n_windows).astype(np.int64)
-        sums = np.bincount(ks, weights=ledger.u[acc], minlength=ledger.n_windows)
-    return counts, sums
-
-
-def normalized_window_variable(
-    P: int,
-    sum_u: float,
-    alpha: float,
-    rng: np.random.Generator,
-    spec: StableSpec,
-    k: int = 0,
-) -> WindowVariable:
-    """W = sum_u / P^{1/alpha} for P > 0; a fresh stable draw for P = 0."""
-    if P < 0:
-        raise ConfigError("count P must be nonnegative")
-    if P > 0:
-        return WindowVariable(k=k, P=int(P), W=float(sum_u) / P ** (1.0 / alpha), fresh=False)
-    return WindowVariable(k=k, P=0, W=float(sample_stable(spec, rng)), fresh=True)
-
-
 def normalized_window_variables(
     counts: np.ndarray,
     sums: np.ndarray,
@@ -86,8 +44,10 @@ def normalized_window_variables(
     rng: np.random.Generator,
     spec: StableSpec,
 ) -> np.ndarray:
-    """Vectorized W_k over all windows (fresh draws fill the empty ones)."""
+    """W_k = sums_k / counts_k^{1/alpha} per window; fresh stable draws fill the empty ones."""
     counts = np.asarray(counts, dtype=float)
+    if np.any(counts < 0):
+        raise ConfigError("window counts must be nonnegative")
     sums = np.asarray(sums, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = sums / counts ** (1.0 / alpha)
@@ -109,43 +69,66 @@ def build_coupled_driver(
     if abs(delta - ledger.delta) > 1e-12 * max(1.0, delta):
         raise ConfigError("delta must match the ledger window length")
     spec = resolve_stable(collateral)
-    counts, sums = window_aggregate(ledger)
-    w = normalized_window_variables(counts, sums, spec.alpha, rng, spec)
+    w = normalized_window_variables(ledger.window_counts, ledger.window_sums, spec.alpha, rng, spec)
     return path_from_window_sums(w, delta, spec, K)
 
 
 @dataclass(frozen=True)
 class CouplingReport:
-    """Aggregated finite-vs-limit coupling errors across replications."""
+    """Per-replication finite-vs-limit coupling errors and terminal values.
+
+    Every statistic across replications is reduced from these rows, so a
+    report concatenated from replication chunks in replicate order reduces
+    to exactly the same numbers as one run over all replications.
+    """
 
     obs_times: np.ndarray
-    err_mean: np.ndarray
-    err_se: np.ndarray
-    err_censored_mean: np.ndarray
-    censor_frac: np.ndarray
     config: dict
-    terminal_finite: np.ndarray   # particle-1 terminal value per replication
-    terminal_limit: np.ndarray    # limit-particle-1 terminal value per replication
-    # all particles' terminal values, shape (replications, N); by
-    # exchangeability each column samples the same marginal law as the
-    # particle-1 arrays, with far lower estimator noise when pooled
-    terminal_finite_pool: np.ndarray = None
-    terminal_limit_pool: np.ndarray = None
-    # per replication: True when the terminal time precedes the driver's
-    # first big window (same censoring rule as err_censored_mean)
-    terminal_ok: np.ndarray = None
+    errs: np.ndarray                  # error per (replication, obs time)
+    uncensored: np.ndarray            # obs time precedes the driver's first big window
+    # all particles' terminal values, shape (replications, N)
+    terminal_finite_pool: np.ndarray
+    terminal_limit_pool: np.ndarray
 
-    def write_csv(self, fname) -> None:
-        cfg = self.config
-        with open(fname, "w") as fh:
-            fh.write("t,err_mean,err_se,err_censored_mean,censor_frac,N,delta,K,alpha,gamma,seed\n")
-            for j, t in enumerate(self.obs_times):
-                fh.write(
-                    f"{t:.12g},{self.err_mean[j]:.12g},{self.err_se[j]:.12g},"
-                    f"{self.err_censored_mean[j]:.12g},{self.censor_frac[j]:.12g},"
-                    f"{cfg['N']},{cfg['delta']:.12g},{cfg['K']:.12g},"
-                    f"{cfg['alpha']:.12g},{cfg['gamma']:.12g},{cfg['seed']}\n"
-                )
+    @classmethod
+    def concat(cls, parts: list["CouplingReport"]) -> "CouplingReport":
+        """Join replication chunks, given in replicate order, into one report."""
+        return cls(
+            obs_times=parts[0].obs_times,
+            config=parts[0].config,
+            errs=np.concatenate([p.errs for p in parts]),
+            uncensored=np.concatenate([p.uncensored for p in parts]),
+            terminal_finite_pool=np.concatenate([p.terminal_finite_pool for p in parts]),
+            terminal_limit_pool=np.concatenate([p.terminal_limit_pool for p in parts]),
+        )
+
+    @cached_property
+    def err_mean(self) -> np.ndarray:
+        return self.errs.mean(axis=0)
+
+    @cached_property
+    def err_se(self) -> np.ndarray:
+        reps = self.errs.shape[0]
+        if reps > 1:
+            return self.errs.std(axis=0, ddof=1) / math.sqrt(reps)
+        return np.zeros(self.obs_times.size)
+
+    @cached_property
+    def err_censored_mean(self) -> np.ndarray:
+        """Mean error over the replications still uncensored at each time (NaN if none)."""
+        ok = self.uncensored
+        with np.errstate(invalid="ignore"):
+            ok_sum = ok.sum(axis=0)
+            return np.where(ok_sum > 0, (self.errs * ok).sum(axis=0) / np.maximum(ok_sum, 1), np.nan)
+
+    @cached_property
+    def censor_frac(self) -> np.ndarray:
+        return 1.0 - self.uncensored.mean(axis=0)
+
+    @cached_property
+    def terminal_ok(self) -> np.ndarray:
+        """Per replication: True when the terminal time precedes the first big window."""
+        return self.uncensored[:, -1].copy()
 
 
 def coupled_error_experiment(
@@ -188,8 +171,6 @@ def coupled_error_experiment(
     n_obs = obs_times.size
     errs = np.empty((replications, n_obs))
     cens = np.empty((replications, n_obs), dtype=bool)
-    term_fin = np.empty(replications)
-    term_lim = np.empty(replications)
     pool_fin = np.empty((replications, N))
     pool_lim = np.empty((replications, N))
 
@@ -213,33 +194,18 @@ def coupled_error_experiment(
         else:
             errs[idx] = d_q(fin.positions, lim.positions, alpha_minus).mean(axis=0)
         cens[idx] = obs_times < driver.t_K
-        term_fin[idx] = fin.positions[0, -1]
-        term_lim[idx] = lim.positions[0, -1]
         pool_fin[idx] = fin.positions[:, -1]
         pool_lim[idx] = lim.positions[:, -1]
-
-    err_mean = errs.mean(axis=0)
-    err_se = errs.std(axis=0, ddof=1) / math.sqrt(replications) if replications > 1 else np.zeros(n_obs)
-    with np.errstate(invalid="ignore"):
-        cens_sum = cens.sum(axis=0)
-        err_cens = np.where(cens_sum > 0, (errs * cens).sum(axis=0) / np.maximum(cens_sum, 1), np.nan)
-    censor_frac = 1.0 - cens.mean(axis=0)
 
     gamma = collateral.gamma if isinstance(collateral, HeavyTailSpec) else float("nan")
     return CouplingReport(
         obs_times=obs_times,
-        err_mean=err_mean,
-        err_se=err_se,
-        err_censored_mean=err_cens,
-        censor_frac=censor_frac,
         config={
             "N": N, "delta": delta, "K": K, "alpha": alpha,
             "gamma": gamma, "seed": master_seed, "T": T,
-            "replications": replications,
         },
-        terminal_finite=term_fin,
-        terminal_limit=term_lim,
+        errs=errs,
+        uncensored=cens,
         terminal_finite_pool=pool_fin,
         terminal_limit_pool=pool_lim,
-        terminal_ok=cens[:, -1].copy(),
     )

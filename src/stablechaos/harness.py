@@ -94,7 +94,6 @@ class ExperimentConfig:
     T: float = 1.0
     K: float | None = None                # None = auto policy
     alpha_minus: float | None = None
-    alpha_plus: float | None = None
     eta: float | None = None              # override for choose_delta
     replications: int = 100
     master_seed: int = 0
@@ -123,8 +122,6 @@ class ExperimentConfig:
                 raise ConfigError("need 0 < alpha_minus < alpha")
             if alpha > 1.0 and self.alpha_minus <= 1.0:
                 raise ConfigError("alpha_minus must exceed 1 when alpha > 1")
-        if self.alpha_plus is not None and self.alpha_plus <= alpha:
-            raise ConfigError("alpha_plus must exceed alpha")
         if self.experiment in ("coupling-sweep", "chaos-test"):
             if alpha < 1.0 and self.alpha_minus is None:
                 raise ConfigError("alpha_minus is required when alpha < 1")
@@ -168,6 +165,13 @@ def _model_from_section(sec) -> ModelSpec:
 def _law_from_section(sec):
     mode = sec.get("mode", "heavy")
     if mode == "stable":
+        required = ("alpha", "a_plus", "a_minus")
+    else:
+        required = ("alpha", "gamma", "big_a", "a_tilde")
+    for key in required:
+        if key not in sec:
+            raise ConfigError(f"[law] {key} is required when mode = {mode}")
+    if mode == "stable":
         return StableSpec(
             alpha=sec.getfloat("alpha"),
             a_plus=sec.getfloat("a_plus"),
@@ -196,7 +200,7 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     model = _model_from_section(parser["model"]) if "model" in parser else ModelSpec()
     law = _law_from_section(parser["law"])
 
-    def _floats(key, default):
+    def _ints(key, default):
         if key not in exp:
             return default
         return tuple(int(v) for v in exp[key].replace(",", " ").split())
@@ -205,17 +209,16 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
         experiment=exp.get("kind", "selfsim"),
         model=model,
         law=law,
-        n_list=_floats("n_list", (64, 256, 1024, 4096)),
+        n_list=_ints("n_list", (64, 256, 1024, 4096)),
         T=exp.getfloat("horizon", 1.0),
         K=exp.getfloat("truncation", fallback=None),
         alpha_minus=exp.getfloat("alpha_minus", fallback=None),
-        alpha_plus=exp.getfloat("alpha_plus", fallback=None),
         eta=exp.getfloat("eta", fallback=None),
         replications=exp.getint("replications", 100),
         master_seed=exp.getint("master_seed", 0),
         n_windows=exp.getint("n_windows", 100_000),
         poisson_mean=exp.getfloat("poisson_mean", 50.0),
-        clt_n_list=_floats("clt_n_list", (100, 1000, 10_000)),
+        clt_n_list=_ints("clt_n_list", (100, 1000, 10_000)),
         clt_reps=exp.getint("clt_reps", 10_000),
         ref_size=exp.getint("ref_size", 1_000_000),
         obs_count=exp.getint("obs_count", 5),
@@ -369,72 +372,44 @@ def chaos_distance(rep: CouplingReport, alpha: float, alpha_minus: float | None 
     return float(np.mean(dists))
 
 
-def _merge_reports(parts: list[CouplingReport]) -> CouplingReport:
-    """Recombine replication chunks (order-independent statistics)."""
-    if len(parts) == 1:
-        return parts[0]
-    import math as _m
-    obs = parts[0].obs_times
-    total = sum(p.config["replications"] for p in parts)
-    # Reconstruct per-chunk sums; means/SEs recombine exactly because every
-    # chunk carries its own replication count.
-    mean = sum(p.err_mean * p.config["replications"] for p in parts) / total
-    sq = sum(
-        (p.err_se ** 2 * p.config["replications"] * (p.config["replications"] - 1))
-        + p.config["replications"] * p.err_mean ** 2
-        for p in parts
-    )
-    var = (sq - total * mean ** 2) / (total - 1)
-    se = np.sqrt(np.maximum(var, 0.0) / total)
-    cens_counts = sum((1.0 - p.censor_frac) * p.config["replications"] for p in parts)
-    with np.errstate(invalid="ignore"):
-        cens_mean = sum(
-            np.nan_to_num(p.err_censored_mean) * (1.0 - p.censor_frac) * p.config["replications"]
-            for p in parts
-        ) / np.maximum(cens_counts, 1e-300)
-    cens_mean = np.where(cens_counts > 0, cens_mean, np.nan)
-    cfg = dict(parts[0].config)
-    cfg["replications"] = total
-    return CouplingReport(
-        obs_times=obs,
-        err_mean=mean,
-        err_se=se,
-        err_censored_mean=cens_mean,
-        censor_frac=1.0 - cens_counts / total,
-        config=cfg,
-        terminal_finite=np.concatenate([p.terminal_finite for p in parts]),
-        terminal_limit=np.concatenate([p.terminal_limit for p in parts]),
-        terminal_finite_pool=np.concatenate([p.terminal_finite_pool for p in parts]),
-        terminal_limit_pool=np.concatenate([p.terminal_limit_pool for p in parts]),
-        terminal_ok=np.concatenate([p.terminal_ok for p in parts]),
-    )
-
-
 def run_coupled_sweep(cfg: ExperimentConfig, threads: int = 1) -> dict[int, CouplingReport]:
-    """Coupled error experiment across the N list (shared by both sweep modes)."""
+    """Coupled error experiment across the N list (shared by both sweep modes).
+
+    With ``threads`` > 1 one process pool runs every (N, replication chunk)
+    task; each N's chunks are joined in replicate order, so the reports are
+    identical to a serial run.
+    """
     spec = resolve_stable(cfg.law)
-    out = {}
     obs_times = np.linspace(0.0, cfg.T, cfg.obs_count)
-    for n in cfg.n_list:
-        delta, _ = _sweep_delta(cfg, n)
-        K = cfg.K if cfg.K is not None else default_truncation(spec, cfg.T)
-        kwargs = dict(
-            model=cfg.model, collateral=cfg.law, N=n, delta=delta, T=cfg.T,
+    K = cfg.K if cfg.K is not None else default_truncation(spec, cfg.T)
+    kwargs_by_n = {
+        n: dict(
+            model=cfg.model, collateral=cfg.law, N=n, delta=_sweep_delta(cfg, n)[0], T=cfg.T,
             K=K, obs_times=obs_times, master_seed=cfg.master_seed,
             alpha_minus=cfg.alpha_minus,
         )
-        if threads > 1 and cfg.replications >= 2 * threads:
-            per = int(math.ceil(cfg.replications / threads))
-            chunks = [
-                (kwargs, first, min(per, cfg.replications - first))
-                for first in range(0, cfg.replications, per)
-            ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_coupled_chunk, chunks))
-            out[n] = _merge_reports(parts)
-        else:
-            out[n] = coupled_error_experiment(replications=cfg.replications, **kwargs)
-    return out
+        for n in cfg.n_list
+    }
+    reps = cfg.replications
+    if threads <= 1 or reps < 2 * threads:
+        return {
+            n: coupled_error_experiment(replications=reps, **kwargs)
+            for n, kwargs in kwargs_by_n.items()
+        }
+    per = int(math.ceil(reps / threads))
+    firsts = range(0, reps, per)
+    tasks = [
+        (kwargs, first, min(per, reps - first))
+        for kwargs in kwargs_by_n.values()
+        for first in firsts
+    ]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(_coupled_chunk, tasks))
+    k = len(firsts)
+    return {
+        n: CouplingReport.concat(parts[i * k:(i + 1) * k])
+        for i, n in enumerate(kwargs_by_n)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .particle_system import (
     EventTable,
     TrajectoryBundle,
     _rate_scalar,
-    config_hash,
     flow,
 )
 from .stable_process import COUPLED, DrivingPath, compensator_MK
@@ -148,13 +147,7 @@ def simulate_limit(
             positions[:, obs_idx] = X
             obs_idx += 1
 
-    chash = config_hash(model, cfg, path.spec, path.mode, tuple(obs_times))
-    return TrajectoryBundle(
-        times=obs_times,
-        positions=positions,
-        seed_info="shared-path",
-        config_hash=chash,
-    )
+    return TrajectoryBundle(times=obs_times, positions=positions)
 
 
 def picard_solve(
@@ -215,11 +208,4 @@ def picard_solve(
         X_prev = X_new
 
     times = np.concatenate([[0.0], path.grid_times()])
-    chash = config_hash(model, cfg, path.spec, "picard")
-    bundle = TrajectoryBundle(
-        times=times,
-        positions=X_prev,
-        seed_info="picard",
-        config_hash=chash,
-    )
-    return bundle, np.asarray(gaps[1:])
+    return TrajectoryBundle(times=times, positions=X_prev), np.asarray(gaps[1:])

@@ -14,7 +14,6 @@ point measures.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -137,13 +136,6 @@ def _rate_scalar(model: ModelSpec, x: float) -> float:
     return x
 
 
-def config_hash(*parts) -> str:
-    digest = hashlib.sha256()
-    for p in parts:
-        digest.update(repr(p).encode())
-    return digest.hexdigest()[:16]
-
-
 # ---------------------------------------------------------------------------
 # Outputs
 # ---------------------------------------------------------------------------
@@ -154,8 +146,6 @@ class TrajectoryBundle:
 
     times: np.ndarray
     positions: np.ndarray  # shape (n_particles, n_times)
-    seed_info: str
-    config_hash: str
 
 
 @dataclass(frozen=True)
@@ -313,13 +303,7 @@ def simulate_finite(
         positions[:, obs_idx] = X
         obs_idx += 1
 
-    chash = config_hash(model, collateral, N, T, delta, flow_step, tuple(obs_times))
-    bundle = TrajectoryBundle(
-        times=obs_times,
-        positions=positions,
-        seed_info=f"seed={master_seed},rep={replicate}" if master_seed is not None else "external",
-        config_hash=chash,
-    )
+    bundle = TrajectoryBundle(times=obs_times, positions=positions)
     ledger = ledger_from_events(rec_t, rec_i, rec_acc, rec_u, rec_main, delta, horizon)
     return bundle, ledger
 
@@ -331,17 +315,3 @@ def interaction_term(ledger: JumpLedger, collateral, N: int, t: float) -> float:
     mask = ledger.accepted & (ledger.times <= t)
     return float(N ** (-1.0 / collateral.alpha) * np.sum(ledger.u[mask]))
 
-
-def dump_trajectory_csv(bundle: TrajectoryBundle, fname) -> None:
-    with open(fname, "w") as fh:
-        fh.write("t,i,x\n")
-        for col, t in enumerate(bundle.times):
-            for i in range(bundle.positions.shape[0]):
-                fh.write(f"{t:.12g},{i},{bundle.positions[i, col]:.12g}\n")
-
-
-def dump_ledger_csv(ledger: JumpLedger, fname) -> None:
-    with open(fname, "w") as fh:
-        fh.write("time,particle,accepted,u\n")
-        for t, i, a, u in zip(ledger.times, ledger.particles, ledger.accepted, ledger.u):
-            fh.write(f"{t:.12g},{i},{int(a)},{u:.12g}\n")

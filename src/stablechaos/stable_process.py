@@ -204,14 +204,3 @@ def path_from_window_sums(
         mode=COUPLED,
     )
 
-
-def dump_path_csv(path: DrivingPath, fname) -> None:
-    """Write (t, value, is_big_jump) rows for a path."""
-    times = path.grid_times()
-    values = path.grid_values()
-    with open(fname, "w") as fh:
-        fh.write("t,value,is_big_jump\n")
-        for t, v in zip(times, values):
-            fh.write(f"{t:.12g},{v:.12g},0\n")
-        for t, s in zip(path.big_times, path.big_sizes):
-            fh.write(f"{t:.12g},{s:.12g},1\n")

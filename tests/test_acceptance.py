@@ -30,7 +30,6 @@ from stablechaos.limit_system import LimitConfig, picard_solve, simulate_limit
 from stablechaos.metrics import loglog_slope, wp_empirical
 from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
 from stablechaos.particle_system import simulate_finite
-from stablechaos.coupling import window_aggregate
 from stablechaos.rngtools import stream
 from stablechaos.stable_process import big_jump_rate, sample_driving_path
 
@@ -142,7 +141,7 @@ class TestPoissonWindowCounts:
             model, StableSpec(0.8, 0.3, 0.3), N, n_windows * delta, delta,
             master_seed=MASTER_SEED,
         )
-        counts, _ = window_aggregate(ledger)
+        counts = ledger.window_counts
         assert counts.size == n_windows
         lam = N * c * delta
         # merge bins so every expected count is at least 5
@@ -274,10 +273,10 @@ class TestConditionalLawInM:
 class TestReproducibility:
     """Identical seeds produce byte-identical experiment outputs."""
 
-    def _run_twice(self, cfg, tmp_path, fnames):
+    def _run_twice(self, cfg, tmp_path, fnames, threads=(1, 1)):
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run_experiment(cfg, str(a)) == 0
-        assert run_experiment(cfg, str(b)) == 0
+        assert run_experiment(cfg, str(a), threads[0]) == 0
+        assert run_experiment(cfg, str(b), threads[1]) == 0
         for fname in fnames:
             assert filecmp.cmp(a / fname, b / fname, shallow=False), fname
 
@@ -318,3 +317,23 @@ class TestReproducibility:
             master_seed=MASTER_SEED,
         )
         self._run_twice(cfg, tmp_path, ["chaos.csv"])
+
+    @pytest.mark.parametrize(
+        "experiment,fnames",
+        [("coupling-sweep", ["coupling_sweep.csv", "coupling_summary.csv"]),
+         ("chaos-test", ["chaos.csv"])],
+        ids=["coupling-sweep", "chaos-test"],
+    )
+    def test_threads_do_not_change_outputs(self, tmp_path, experiment, fnames):
+        # 4 replications on 2 threads take the process-pool path
+        cfg = ExperimentConfig(
+            experiment=experiment,
+            model=TANH_MODEL_08,
+            law=HEAVY_08,
+            n_list=(64, 128, 256),
+            alpha_minus=0.72,
+            eta=0.2,
+            replications=4,
+            master_seed=MASTER_SEED,
+        )
+        self._run_twice(cfg, tmp_path, fnames, threads=(1, 2))

@@ -5,12 +5,11 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from stablechaos.coupling import (
+    CouplingReport,
     build_coupled_driver,
     coupled_error_experiment,
-    normalized_window_variable,
     normalized_window_variables,
     resolve_stable,
-    window_aggregate,
 )
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.errors import ConfigError
@@ -32,13 +31,13 @@ class TestWindowAggregate:
         ledger = ledger_from_events(
             [0.1, 0.3], [0, 1], [True, True], [1.0, -2.0], [False, False], 0.25, 0.5,
         )
-        counts, sums = window_aggregate(ledger)
+        counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [1, 1]
         assert sums.tolist() == [1.0, -2.0]
 
     def test_empty(self):
         ledger = ledger_from_events([], [], [], [], [], 0.25, 1.0)
-        counts, sums = window_aggregate(ledger)
+        counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [0, 0, 0, 0]
         assert sums.tolist() == [0.0, 0.0, 0.0, 0.0]
 
@@ -47,7 +46,7 @@ class TestWindowAggregate:
             [0.1, 0.15, 0.2], [0, 1, 2], [True] * 3, [1.0, 1.0, -1.0], [False] * 3,
             0.25, 0.25,
         )
-        counts, sums = window_aggregate(ledger)
+        counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [3]
         assert sums[0] == pytest.approx(1.0)
 
@@ -55,32 +54,34 @@ class TestWindowAggregate:
         ledger = ledger_from_events(
             [0.1, 0.2], [0, 1], [True, False], [1.0, np.nan], [False, False], 0.25, 0.25,
         )
-        counts, sums = window_aggregate(ledger)
+        counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [1]
         assert sums[0] == pytest.approx(1.0)
 
 
 class TestNormalizedWindowVariable:
     def test_single_event_identity(self):
-        wv = normalized_window_variable(1, 3.7, 1.5, stream(0, "fresh"), STABLE_15)
-        assert wv.W == pytest.approx(3.7)
-        assert not wv.fresh
+        rng = stream(0, "fresh")
+        w = normalized_window_variables([1], [3.7], 1.5, rng, STABLE_15)
+        assert w[0] == pytest.approx(3.7)
+        # not a fresh draw: the stream is left untouched
+        assert rng.random() == stream(0, "fresh").random()
 
     def test_power_normalization(self):
         spec = StableSpec(alpha=0.5, a_plus=1.0, a_minus=1.0)
-        wv = normalized_window_variable(4, 8.0, 0.5, stream(0, "fresh"), spec)
-        assert wv.W == pytest.approx(8.0 / 16.0)
+        w = normalized_window_variables([4], [8.0], 0.5, stream(0, "fresh"), spec)
+        assert w[0] == pytest.approx(8.0 / 16.0)
 
     def test_empty_window_fresh_draw(self):
-        wv = normalized_window_variable(0, 0.0, 1.5, stream(0, "fresh"), STABLE_15)
-        assert wv.fresh
-        assert np.isfinite(wv.W)
+        w = normalized_window_variables([0], [0.0], 1.5, stream(0, "fresh"), STABLE_15)
+        assert w[0] == sample_stable(STABLE_15, stream(0, "fresh"), 1)[0]
+        assert np.isfinite(w[0])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):
-            normalized_window_variable(-1, 0.0, 1.5, stream(0, "fresh"), STABLE_15)
+            normalized_window_variables([-1], [0.0], 1.5, stream(0, "fresh"), STABLE_15)
 
-    def test_vectorized_matches_scalar(self):
+    def test_mixed_windows(self):
         counts = np.array([0, 1, 4, 0, 2])
         sums = np.array([0.0, 3.0, 8.0, 0.0, -1.0])
         w = normalized_window_variables(counts, sums, 1.5, stream(1, "fresh"), STABLE_15)
@@ -100,8 +101,8 @@ def exact_windows():
         _, ledger = simulate_finite(
             model, STABLE_15, 8, 50.0, 0.4, master_seed=17, replicate=r,
         )
-        counts, sums = window_aggregate(ledger)
-        w = normalized_window_variables(counts, sums, 1.5, rng, STABLE_15)
+        counts = ledger.window_counts
+        w = normalized_window_variables(counts, ledger.window_sums, 1.5, rng, STABLE_15)
         keep = counts > 0
         counts_all.append(counts[keep])
         w_all.append(w[keep])
@@ -136,8 +137,8 @@ class TestCoupledDriver:
         n = 16
         model = const_model(1.0)
         _, ledger = simulate_finite(model, STABLE_15, n, 2.0, 0.25, master_seed=19)
-        counts, sums = window_aggregate(ledger)
-        w = normalized_window_variables(counts, sums, 1.5, stream(19, "fresh"), STABLE_15)
+        counts = ledger.window_counts
+        w = normalized_window_variables(counts, ledger.window_sums, 1.5, stream(19, "fresh"), STABLE_15)
         nonzero = counts > 0
         recon = np.sum(
             (counts[nonzero] / n) ** (1.0 / 1.5) * w[nonzero]
@@ -193,15 +194,15 @@ class TestCoupledErrorExperiment:
             K=np.inf, obs_times=[0.0, 0.5, 1.0], master_seed=37,
         )
         whole = coupled_error_experiment(replications=6, **kwargs)
-        from stablechaos.harness import _merge_reports
-        parts = [
+        merged = CouplingReport.concat([
             coupled_error_experiment(replications=3, first_replicate=0, **kwargs),
             coupled_error_experiment(replications=3, first_replicate=3, **kwargs),
-        ]
-        merged = _merge_reports(parts)
-        assert np.allclose(merged.err_mean, whole.err_mean, atol=1e-12)
-        assert np.allclose(merged.err_se, whole.err_se, atol=1e-12)
-        assert np.array_equal(merged.terminal_finite, whole.terminal_finite)
+        ])
+        for name in (
+            "err_mean", "err_se", "err_censored_mean", "censor_frac", "terminal_ok",
+            "terminal_finite_pool", "terminal_limit_pool",
+        ):
+            assert np.array_equal(getattr(merged, name), getattr(whole, name)), name
 
     def test_resolve_stable_passthrough_and_mapping(self):
         assert resolve_stable(STABLE_15) is STABLE_15

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from stablechaos.cli import main as cli_main
 from stablechaos.distributions import StableSpec, validate_heavy_tail
-from stablechaos.errors import UncoveredCase
+from stablechaos.errors import ConfigError, UncoveredCase
 from stablechaos.harness import (
     ExperimentConfig,
     choose_delta,
@@ -101,6 +101,11 @@ a_plus = 0.3
 a_minus = 0.3
 """
 
+LAW_SECTIONS = {
+    "stable": {"alpha": 1.5, "a_plus": 0.3, "a_minus": 0.3},
+    "heavy": {"alpha": 0.8, "gamma": 0.5, "big_a": 0.2, "a_tilde": 0.1},
+}
+
 
 class TestConfigParsing:
     def test_selfsim_roundtrip(self, tmp_path):
@@ -126,6 +131,17 @@ class TestConfigParsing:
         cfg = parse_config(p)
         assert cfg.law.alpha == 0.8
         assert cfg.law.beta == 0.5
+
+    @pytest.mark.parametrize(
+        "mode,key", [(mode, key) for mode, law in LAW_SECTIONS.items() for key in law]
+    )
+    def test_missing_law_key_named(self, tmp_path, mode, key):
+        p = tmp_path / "cfg.ini"
+        lines = [f"mode = {mode}"]
+        lines += [f"{k} = {v}" for k, v in LAW_SECTIONS[mode].items() if k != key]
+        p.write_text("[experiment]\nkind = selfsim\n\n[law]\n" + "\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=rf"\[law\] {key} "):
+            parse_config(p)
 
     def test_validation_rejects_zero_replications(self, tmp_path):
         p = tmp_path / "cfg.ini"
@@ -253,3 +269,24 @@ class TestCli:
         monkeypatch.delenv("STABLECHAOS_SEED")
         cli_main(["selfsim", "--config", str(p), "--seed", "123", "--out", str(out2)])
         assert (out1 / "selfsim.csv").read_bytes() == (out2 / "selfsim.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "env,argv,needle",
+        [
+            ({"STABLECHAOS_SEED": "x"}, [], "STABLECHAOS_SEED"),
+            ({"STABLECHAOS_THREADS": "two"}, [], "STABLECHAOS_THREADS"),
+            ({"STABLECHAOS_THREADS": "0"}, [], "STABLECHAOS_THREADS"),
+            ({}, ["--threads", "0"], "--threads"),
+            ({}, ["--threads", "-1"], "--threads"),
+        ],
+        ids=["seed-env-text", "threads-env-text", "threads-env-zero", "threads-zero", "threads-negative"],
+    )
+    def test_bad_override_exit_code(self, tmp_path, monkeypatch, capsys, env, argv, needle):
+        p = tmp_path / "cfg.ini"
+        p.write_text(SELF_SIM_CONFIG)
+        for key, val in env.items():
+            monkeypatch.setenv(key, val)
+        out = tmp_path / "out"
+        assert cli_main(["selfsim", "--config", str(p), "--out", str(out)] + argv) == 2
+        assert needle in capsys.readouterr().err
+        assert not out.exists()
