@@ -20,7 +20,7 @@ import numpy as np
 
 from .distributions import HeavyTailSpec, StableSpec, sample_stable, stable_params_from_heavy
 from .errors import ConfigError
-from .limit_system import LimitConfig, simulate_limit
+from .limit_system import simulate_limit
 from .metrics import d_q
 from .models import ModelSpec
 from .particle_system import JumpLedger, proposal_events, simulate_finite
@@ -142,7 +142,6 @@ def coupled_error_experiment(
     replications: int,
     master_seed: int,
     alpha_minus: float | None = None,
-    flow_step: float | None = None,
     first_replicate: int = 0,
 ) -> CouplingReport:
     """Run the coupled finite-vs-limit experiment.
@@ -179,16 +178,12 @@ def coupled_error_experiment(
         initials = model.nu0.sample(stream(master_seed, "init", r), N)
         events = proposal_events(N, f_hi, horizon, particle_streams(master_seed, r, N))
         fin, ledger = simulate_finite(
-            model, collateral, N, horizon, delta, flow_step, obs_times,
+            model, collateral, N, horizon, delta, obs_times,
             initials=initials, events=events,
             collateral_rng=stream(master_seed, "collateral", r),
         )
         driver = build_coupled_driver(ledger, collateral, delta, stream(master_seed, "fresh", r), K)
-        lim = simulate_limit(
-            model,
-            LimitConfig(M=N, step=delta, K=K, flow_step=flow_step),
-            driver, initials, events, obs_times,
-        )
+        lim = simulate_limit(model, driver, initials, events, obs_times)
         if alpha > 1.0:
             errs[idx] = np.abs(fin.positions - lim.positions).mean(axis=0)
         else:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -123,6 +124,10 @@ class ExperimentConfig:
             if alpha > 1.0 and self.alpha_minus <= 1.0:
                 raise ConfigError("alpha_minus must exceed 1 when alpha > 1")
         if self.experiment in ("coupling-sweep", "chaos-test"):
+            if min(self.n_list) < 2:
+                raise ConfigError(f"n_list: every N must be at least 2, got {self.n_list}")
+            if self.experiment == "coupling-sweep" and len(set(self.n_list)) < 3:
+                raise ConfigError(f"n_list: the slope fit needs 3 distinct N, got {self.n_list}")
             if alpha < 1.0 and self.alpha_minus is None:
                 raise ConfigError("alpha_minus is required when alpha < 1")
             gamma = getattr(self.law, "gamma", None)
@@ -140,22 +145,46 @@ class ExperimentConfig:
         return self
 
 
+class _ConfigParser(configparser.ConfigParser):
+    """A ConfigParser whose numeric getters name the offending ``[section] key``."""
+
+    def _number(self, conv, kind, section, option, **kwargs):
+        try:
+            return conv(section, option, **kwargs)
+        except ValueError:
+            raw = self.get(section, option, raw=True)
+            raise ConfigError(f"[{section}] {option} must be {kind}, got {raw!r}") from None
+
+    def getint(self, section, option, **kwargs):
+        return self._number(super().getint, "an integer", section, option, **kwargs)
+
+    def getfloat(self, section, option, **kwargs):
+        return self._number(super().getfloat, "a number", section, option, **kwargs)
+
+
+def _family(sec, key: str, registry) -> str:
+    """The family under ``key``, checked against ``registry``; its first entry is the default."""
+    name = sec.get(key, registry[0])
+    if name not in registry:
+        raise ConfigError(f"[{sec.name}] {key} must be one of {'|'.join(registry)}, got {name!r}")
+    return name
+
+
 def _model_from_section(sec) -> ModelSpec:
     b = DriftSpec(
-        family=sec.get("b", "zero"),
+        family=_family(sec, "b", DriftSpec.FAMILIES),
         beta0=sec.getfloat("beta0", 0.0),
         beta1=sec.getfloat("beta1", 0.0),
     )
-    f_family = sec.get("f", "constant")
     f = RateSpec(
-        family=f_family,
+        family=_family(sec, "f", RateSpec.FAMILIES),
         c=sec.getfloat("c", 1.0),
         lo=sec.getfloat("f_lo", 0.5),
         hi=sec.getfloat("f_hi", 1.5),
     )
-    psi = KickSpec(family=sec.get("psi", "zero"), c=sec.getfloat("kick_c", 0.0))
+    psi = KickSpec(family=_family(sec, "psi", KickSpec.FAMILIES), c=sec.getfloat("kick_c", 0.0))
     nu0 = InitSpec(
-        family=sec.get("nu0", "point"),
+        family=_family(sec, "nu0", InitSpec.FAMILIES),
         a=sec.getfloat("nu0_a", 0.0),
         b=sec.getfloat("nu0_b", 1.0),
     )
@@ -163,7 +192,7 @@ def _model_from_section(sec) -> ModelSpec:
 
 
 def _law_from_section(sec):
-    mode = sec.get("mode", "heavy")
+    mode = _family(sec, "mode", ("heavy", "stable"))
     if mode == "stable":
         required = ("alpha", "a_plus", "a_minus")
     else:
@@ -190,7 +219,7 @@ def _law_from_section(sec):
 
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Read the flat INI-style config (sections: experiment, model, law)."""
-    parser = configparser.ConfigParser()
+    parser = _ConfigParser()
     with open(path) as fh:
         text = fh.read()
     parser.read_string(text)
@@ -203,7 +232,10 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     def _ints(key, default):
         if key not in exp:
             return default
-        return tuple(int(v) for v in exp[key].replace(",", " ").split())
+        try:
+            return tuple(int(v) for v in exp[key].replace(",", " ").split())
+        except ValueError:
+            raise ConfigError(f"[experiment] {key} must be integers, got {exp[key]!r}") from None
 
     cfg = ExperimentConfig(
         experiment=exp.get("kind", "selfsim"),
@@ -435,7 +467,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int
     try:
         cfg.validate()
     except (ConfigError, UncoveredCase) as exc:
-        print(f"config error: {exc}")
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
     _write_manifest(cfg, out_dir)
@@ -455,7 +487,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int
 
     if cfg.experiment == "clt-rate":
         if not isinstance(cfg.law, HeavyTailSpec):
-            print("config error: clt-rate requires a heavy-tailed law")
+            print("config error: clt-rate requires a heavy-tailed law", file=sys.stderr)
             return 2
         res = clt_rate_experiment(
             cfg.law, cfg.clt_n_list, cfg.clt_reps, cfg.ref_size,
@@ -471,6 +503,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int
         return 0
 
     reports = run_coupled_sweep(cfg, threads)
+    for n, rep in reports.items():
+        if not rep.terminal_ok.any():
+            print(f"config error: N={n}: every replication is censored before the horizon; "
+                  f"raise [experiment] truncation (K={rep.config['K']:.6g})", file=sys.stderr)
+            return 2
     if cfg.experiment == "coupling-sweep":
         with open(os.path.join(out_dir, "coupling_sweep.csv"), "w") as fh:
             fh.write("t,err_mean,err_se,err_censored_mean,censor_frac,N,delta,K,alpha,gamma,seed\n")

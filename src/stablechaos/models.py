@@ -11,6 +11,7 @@ holds with unit constant by Kantorovich-Rubinstein duality.  The
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import expit
@@ -27,7 +28,8 @@ from .metrics import d_q, wdq_upper
 class DriftSpec:
     """b(x, mu) = -beta0 tanh(x) + beta1 tanh(<tanh, mu>); or identically zero."""
 
-    family: str = "zero"  # "zero" | "tanh"
+    FAMILIES: ClassVar[tuple] = ("zero", "tanh")
+    family: str = "zero"
     beta0: float = 0.0
     beta1: float = 0.0
 
@@ -48,7 +50,8 @@ class RateSpec:
     fixture: it is unbounded and must fail the boundedness check.
     """
 
-    family: str = "constant"  # "constant" | "logistic" | "linear"
+    FAMILIES: ClassVar[tuple] = ("constant", "logistic", "linear")
+    family: str = "constant"
     c: float = 1.0
     lo: float = 0.5
     hi: float = 1.5
@@ -74,7 +77,8 @@ class RateSpec:
 class KickSpec:
     """psi(x, mu): zero, a constant displacement -c, or -c tanh(x)."""
 
-    family: str = "zero"  # "zero" | "constant" | "tanh"
+    FAMILIES: ClassVar[tuple] = ("zero", "constant", "tanh")
+    family: str = "zero"
     c: float = 0.0
 
     @property
@@ -86,7 +90,8 @@ class KickSpec:
 class InitSpec:
     """Initial law nu0.  All registry laws have moments of every order."""
 
-    family: str = "point"  # "point" | "gaussian" | "uniform"
+    FAMILIES: ClassVar[tuple] = ("point", "gaussian", "uniform")
+    family: str = "point"
     a: float = 0.0
     b: float = 1.0
 

@@ -36,9 +36,6 @@ class EventTable:
     times: np.ndarray
     particles: np.ndarray
     uniforms: np.ndarray
-    n_particles: int
-    horizon: float
-    f_hi: float
 
 
 def proposal_events(n: int, f_hi: float, horizon: float, streams) -> EventTable:
@@ -72,9 +69,6 @@ def proposal_events(n: int, f_hi: float, horizon: float, streams) -> EventTable:
         times=times[order],
         particles=np.concatenate(all_parts)[order],
         uniforms=np.concatenate(all_us)[order],
-        n_particles=n,
-        horizon=horizon,
-        f_hi=f_hi,
     )
 
 
@@ -134,6 +128,51 @@ def _rate_scalar(model: ModelSpec, x: float) -> float:
         sig = 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
         return f.lo + (f.hi - f.lo) * sig
     return x
+
+
+class EventWalker:
+    """Positions, clock and observation cursor shared by the finite and limit simulators.
+
+    An observation before a flow target is recorded on the way; one at the
+    target sees the state after what the caller applies there.  ``flow_fn``
+    is the caller's module-level ``flow``, so each side's flows stay its own.
+    """
+
+    def __init__(self, model: ModelSpec, initials, obs_times: np.ndarray, delta: float, flow_fn):
+        self.model = model
+        self.X = np.array(initials, dtype=float, copy=True)
+        self.t = 0.0
+        self.obs_times = obs_times
+        self.positions = np.empty((self.X.size, obs_times.size))
+        self.obs_idx = 0
+        self._f_hi = model.f.f_hi
+        self._flow = flow_fn
+        self._flow_step = min(delta, 0.01)
+
+    def advance(self, t: float, tol: float = 0.0) -> None:
+        """Flow to ``t``, recording every observation before ``t - tol`` on the way."""
+        obs = self.obs_times
+        while self.obs_idx < obs.size and obs[self.obs_idx] < t - tol:
+            self.X = self._flow(self.model, self.X, obs[self.obs_idx] - self.t, self._flow_step)
+            self.t = float(obs[self.obs_idx])
+            self.positions[:, self.obs_idx] = self.X
+            self.obs_idx += 1
+        self.X = self._flow(self.model, self.X, t - self.t, self._flow_step)
+        self.t = t
+
+    def record(self, t: float) -> None:
+        """Record the pending observations up to ``t`` without flowing."""
+        obs = self.obs_times
+        while self.obs_idx < obs.size and obs[self.obs_idx] <= t:
+            self.positions[:, self.obs_idx] = self.X
+            self.obs_idx += 1
+
+    def thin(self, i: int, uniform: float, main: bool) -> bool:
+        """Thinning test of particle ``i``'s proposal; if accepted and ``main``, its main jump."""
+        accept = uniform * self._f_hi <= _rate_scalar(self.model, float(self.X[i]))
+        if accept and main:
+            self.X[i] += float(kick(self.model, self.X[i], self.X))
+        return accept
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +247,6 @@ def simulate_finite(
     N: int,
     T: float,
     delta: float,
-    flow_step: float | None = None,
     obs_times=None,
     *,
     master_seed: int | None = None,
@@ -232,8 +270,6 @@ def simulate_finite(
         raise ConfigError("need at least two particles")
     if not (2.0 * delta * f_hi < 1.0):
         raise ConfigError(f"need 2 * delta * f_hi < 1, got {2.0 * delta * f_hi}")
-    if flow_step is None:
-        flow_step = min(delta, 0.01)
 
     n_windows = int(math.ceil(T / delta - 1e-9))
     horizon = n_windows * delta
@@ -257,54 +293,28 @@ def simulate_finite(
     inv_root = N ** (-1.0 / alpha)
     main_enabled = alpha < 1.0 and not model.psi.is_zero
 
-    X = np.array(initials, dtype=float, copy=True)
-    positions = np.empty((N, obs_times.size))
-    obs_idx = 0
-    t_cur = 0.0
-
-    ev_t = events.times
-    ev_i = events.particles
-    ev_u = events.uniforms
-    n_ev = ev_t.size
-
-    rec_t = np.empty(n_ev)
-    rec_i = np.empty(n_ev, dtype=np.int64)
-    rec_acc = np.zeros(n_ev, dtype=bool)
-    rec_u = np.full(n_ev, np.nan)
-    rec_main = np.zeros(n_ev, dtype=bool)
-
+    walk = EventWalker(model, initials, obs_times, delta, flow)
+    n_ev = events.times.size
+    accepted = np.zeros(n_ev, dtype=bool)
+    u = np.full(n_ev, np.nan)
     for j in range(n_ev):
-        te = float(ev_t[j])
-        while obs_idx < obs_times.size and obs_times[obs_idx] < te:
-            X = flow(model, X, obs_times[obs_idx] - t_cur, flow_step)
-            t_cur = float(obs_times[obs_idx])
-            positions[:, obs_idx] = X
-            obs_idx += 1
-        X = flow(model, X, te - t_cur, flow_step)
-        t_cur = te
-        i = int(ev_i[j])
-        fx = _rate_scalar(model, float(X[i]))
-        accept = ev_u[j] * f_hi <= fx
-        rec_t[j] = te
-        rec_i[j] = i
-        if accept:
+        walk.advance(float(events.times[j]))
+        i = int(events.particles[j])
+        if walk.thin(i, events.uniforms[j], main_enabled):
             u_val = cache.take()
-            rec_acc[j] = True
-            rec_u[j] = u_val
-            if main_enabled:
-                X[i] += float(kick(model, X[i], X))
-                rec_main[j] = True
-            xi = X[i]
-            X = X + u_val * inv_root
-            X[i] = xi
-    while obs_idx < obs_times.size:
-        X = flow(model, X, obs_times[obs_idx] - t_cur, flow_step)
-        t_cur = float(obs_times[obs_idx])
-        positions[:, obs_idx] = X
-        obs_idx += 1
+            accepted[j] = True
+            u[j] = u_val
+            xi = walk.X[i]
+            walk.X = walk.X + u_val * inv_root
+            walk.X[i] = xi
+    if walk.obs_idx < obs_times.size:
+        walk.advance(float(obs_times[-1]))
+        walk.record(obs_times[-1])
 
-    bundle = TrajectoryBundle(times=obs_times, positions=positions)
-    ledger = ledger_from_events(rec_t, rec_i, rec_acc, rec_u, rec_main, delta, horizon)
+    bundle = TrajectoryBundle(times=obs_times, positions=walk.positions)
+    ledger = ledger_from_events(
+        events.times, events.particles, accepted, u, accepted & main_enabled, delta, horizon
+    )
     return bundle, ledger
 
 

@@ -26,7 +26,7 @@ from stablechaos.harness import (
     run_experiment,
     selfsim_experiment,
 )
-from stablechaos.limit_system import LimitConfig, picard_solve, simulate_limit
+from stablechaos.limit_system import picard_solve, simulate_limit
 from stablechaos.metrics import loglog_slope, wp_empirical
 from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
 from stablechaos.particle_system import simulate_finite
@@ -211,9 +211,7 @@ class TestPicardContraction:
         )
         path = sample_driving_path(spec, 1.0, 0.05, 3.0, stream(MASTER_SEED, "path"), eps=0.03)
         initials = model.nu0.sample(stream(MASTER_SEED, "init"), 200)
-        _, u = picard_solve(
-            model, LimitConfig(M=200, step=0.05, K=3.0, picard_iters=6), path, initials,
-        )
+        _, u = picard_solve(model, path, initials, 6)
         ratios = u[2:6] / u[1:5]
         assert np.all(ratios < 1.0)
 
@@ -227,9 +225,7 @@ class TestPicardContraction:
         )
         path = sample_driving_path(spec, 1.0, 0.05, 3.0, stream(MASTER_SEED, "path"), eps=0.03)
         initials = model.nu0.sample(stream(MASTER_SEED, "init"), 200)
-        _, u = picard_solve(
-            model, LimitConfig(M=200, step=0.05, K=3.0, picard_iters=2), path, initials,
-        )
+        _, u = picard_solve(model, path, initials, 2)
         assert u[0] <= 1e-12
 
 
@@ -252,14 +248,8 @@ class TestConditionalLawInM:
             )
             for m in dists:
                 init4 = model.nu0.sample(stream(MASTER_SEED, "init", r), 4 * m)
-                small = simulate_limit(
-                    model, LimitConfig(M=m, step=step, K=K),
-                    path, init4[:m], obs_times=[1.0],
-                )
-                big = simulate_limit(
-                    model, LimitConfig(M=4 * m, step=step, K=K),
-                    path, init4, obs_times=[1.0],
-                )
+                small = simulate_limit(model, path, init4[:m], obs_times=[1.0])
+                big = simulate_limit(model, path, init4, obs_times=[1.0])
                 dists[m].append(
                     wp_empirical(small.positions[:, -1], big.positions[:, -1], 1.0)
                 )

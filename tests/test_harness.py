@@ -143,6 +143,53 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"\[law\] {key} "):
             parse_config(p)
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("law", "alpha", "x"),
+            ("experiment", "replications", "many"),
+            ("experiment", "master_seed", "1.5"),
+            ("experiment", "n_list", "64, abc"),
+            ("model", "c", "one"),
+        ],
+    )
+    def test_non_numeric_value_named(self, tmp_path, capsys, section, key, value):
+        p = tmp_path / "cfg.ini"
+        lines = SELF_SIM_CONFIG.splitlines()
+        head = lines.index(f"[{section}]")
+        lines = [ln for ln in lines if not ln.startswith(f"{key} =")]
+        lines.insert(head + 1, f"{key} = {value}")
+        p.write_text("\n".join(lines) + "\n")
+        assert cli_main(["selfsim", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key}" in err and repr(value) in err
+
+    @pytest.mark.parametrize(
+        "section,key,value,law",
+        [
+            ("law", "mode", "stabel", "heavy"),
+            ("law", "mode", "stabel", "stable"),
+            ("model", "b", "tanhh", "stable"),
+            ("model", "f", "logistik", "stable"),
+            ("model", "psi", "tanhh", "stable"),
+            ("model", "nu0", "gauss", "stable"),
+        ],
+    )
+    def test_unknown_family_named(self, tmp_path, capsys, section, key, value, law):
+        sections = {
+            "experiment": {"kind": "selfsim", "n_windows": 200},
+            "model": {},
+            "law": {"mode": law, **LAW_SECTIONS[law]},
+        }
+        sections[section][key] = value
+        p = tmp_path / "cfg.ini"
+        p.write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+            for name, body in sections.items()
+        ))
+        assert cli_main(["selfsim", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+
     def test_validation_rejects_zero_replications(self, tmp_path):
         p = tmp_path / "cfg.ini"
         p.write_text(SELF_SIM_CONFIG.replace("master_seed = 5", "replications = 0"))
@@ -190,7 +237,7 @@ class TestRunExperiment:
         assert (out1 / "selfsim.csv").read_bytes() == (out2 / "selfsim.csv").read_bytes()
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
-    def test_invalid_config_exit_code(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             experiment="selfsim",
             model=ModelSpec(f=RateSpec("constant", c=1.0), nu0=InitSpec("point", 0.0)),
@@ -198,6 +245,7 @@ class TestRunExperiment:
             replications=0,
         )
         assert run_experiment(cfg, str(tmp_path / "out")) == 2
+        assert "replications" in capsys.readouterr().err
 
     def test_coupling_sweep_csv_schema(self, tmp_path):
         heavy = validate_heavy_tail(0.8, 0.5, 0.0, 0.2, 0.1, 1.0)
@@ -236,6 +284,38 @@ class TestRunExperiment:
         lines = (out / "chaos.csv").read_text().splitlines()
         assert lines[0] == "N,terminal_distance,metric,alpha,seed"
         assert len(lines) == 4
+
+
+class TestDegenerateSweeps:
+    @staticmethod
+    def _config(experiment, **kwargs):
+        defaults = dict(
+            experiment=experiment,
+            model=ModelSpec(f=RateSpec("constant", c=1.0), nu0=InitSpec("gaussian", 0.0, 1.0)),
+            law=validate_heavy_tail(0.8, 0.5, 0.0, 0.2, 0.1, 1.0),
+            n_list=(64, 128, 256),
+            alpha_minus=0.72,
+            replications=2,
+            master_seed=3,
+            obs_count=3,
+        )
+        defaults.update(kwargs)
+        return ExperimentConfig(**defaults)
+
+    @pytest.mark.parametrize("n_list", [(64, 128), (64, 64, 128), (1, 64, 128)])
+    def test_sweep_needs_three_distinct_n(self, tmp_path, capsys, n_list):
+        out = tmp_path / "out"
+        assert run_experiment(self._config("coupling-sweep", n_list=n_list), str(out)) == 2
+        assert "n_list" in capsys.readouterr().err
+        assert not (out / "coupling_sweep.csv").exists()
+
+    @pytest.mark.parametrize("experiment", ["coupling-sweep", "chaos-test"])
+    def test_all_censored_is_an_error(self, tmp_path, capsys, experiment):
+        out = tmp_path / "out"
+        assert run_experiment(self._config(experiment, K=0.001), str(out)) == 2
+        err = capsys.readouterr().err
+        assert "truncation" in err and "N=64" in err
+        assert not any(out.glob("*.csv"))
 
 
 class TestCli:

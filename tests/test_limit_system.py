@@ -6,7 +6,7 @@ from scipy.stats import ks_2samp
 
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.errors import ConfigError, RegimeError
-from stablechaos.limit_system import LimitConfig, picard_solve, simulate_limit
+from stablechaos.limit_system import picard_solve, simulate_limit
 from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
 from stablechaos.particle_system import proposal_events
 from stablechaos.rngtools import particle_streams, stream
@@ -26,22 +26,16 @@ def sample_path(spec, seed=0, T=1.0, step=0.1, K=np.inf):
 
 class TestConfig:
     def test_m_minimum(self):
+        path = sample_path(STABLE_15)
         with pytest.raises(ConfigError):
-            LimitConfig(M=1, step=0.1)
+            simulate_limit(const_model(), path, np.zeros(1))
+        with pytest.raises(ConfigError):
+            picard_solve(const_model(), sample_path(STABLE_15, K=5.0), np.zeros(1), 2)
 
     def test_step_positive(self):
+        # the window length is the path's grid step, checked where the path is built
         with pytest.raises(ConfigError):
-            LimitConfig(M=4, step=0.0)
-
-    def test_step_must_match_path(self):
-        path = sample_path(STABLE_15)
-        with pytest.raises(ConfigError):
-            simulate_limit(const_model(), LimitConfig(M=4, step=0.2), path, np.zeros(4))
-
-    def test_initials_length(self):
-        path = sample_path(STABLE_15)
-        with pytest.raises(ConfigError):
-            simulate_limit(const_model(), LimitConfig(M=4, step=0.1), path, np.zeros(3))
+            sample_path(STABLE_15, step=0.0)
 
 
 class TestConstantIntegrand:
@@ -50,7 +44,7 @@ class TestConstantIntegrand:
         c = 0.7
         path = sample_path(STABLE_15, seed=1)
         init = np.array([0.0, 1.0, -2.0, 0.5])
-        out = simulate_limit(const_model(c), LimitConfig(M=4, step=0.1), path, init)
+        out = simulate_limit(const_model(c), path, init)
         vals = path.grid_values()
         factor = c ** (1.0 / 1.5)
         for j, t in enumerate(out.times):
@@ -61,16 +55,14 @@ class TestConstantIntegrand:
         # common increments preserve max - min across particles
         path = sample_path(STABLE_15, seed=2)
         init = stream(2, "init").normal(0, 1, 16)
-        out = simulate_limit(const_model(), LimitConfig(M=16, step=0.1), path, init)
+        out = simulate_limit(const_model(), path, init)
         spread = out.positions.max(axis=0) - out.positions.min(axis=0)
         assert np.allclose(spread, init.max() - init.min(), atol=1e-12)
 
     def test_observation_at_zero(self):
         path = sample_path(STABLE_15, seed=3)
         init = np.array([1.0, 2.0, 3.0])
-        out = simulate_limit(
-            const_model(), LimitConfig(M=3, step=0.1), path, init, obs_times=[0.0, 1.0]
-        )
+        out = simulate_limit(const_model(), path, init, obs_times=[0.0, 1.0])
         assert np.array_equal(out.positions[:, 0], init)
 
 
@@ -78,8 +70,8 @@ class TestDeterminism:
     def test_bit_exact_rerun(self):
         path = sample_path(STABLE_15, seed=4)
         init = stream(4, "init").normal(0, 1, 8)
-        a = simulate_limit(const_model(), LimitConfig(M=8, step=0.1), path, init)
-        b = simulate_limit(const_model(), LimitConfig(M=8, step=0.1), path, init)
+        a = simulate_limit(const_model(), path, init)
+        b = simulate_limit(const_model(), path, init)
         assert np.array_equal(a.positions, b.positions)
 
 
@@ -92,7 +84,7 @@ class TestMainJumps:
         )
         path = sample_path(STABLE_08, seed=5)
         with pytest.raises(ConfigError):
-            simulate_limit(model, LimitConfig(M=4, step=0.1), path, np.zeros(4))
+            simulate_limit(model, path, np.zeros(4))
 
     def test_exchangeable_marginals(self):
         # with i.i.d. initials and per-particle clocks, particle marginals
@@ -108,8 +100,7 @@ class TestMainJumps:
             path = sample_driving_path(STABLE_08, 1.0, 0.1, np.inf, stream(6, "path", r))
             init = model.nu0.sample(stream(6, "init", r), m)
             ev = proposal_events(m, 1.5, 1.0, particle_streams(6, r, m))
-            out = simulate_limit(model, LimitConfig(M=m, step=0.1), path, init, events=ev,
-                                 obs_times=[1.0])
+            out = simulate_limit(model, path, init, events=ev, obs_times=[1.0])
             first.append(out.positions[0, -1])
             last.append(out.positions[m - 1, -1])
         assert ks_2samp(first, last).pvalue > 0.01
@@ -128,41 +119,29 @@ class TestPicard:
     def test_regime_error_below_one(self):
         path = sample_path(STABLE_08, seed=8)
         with pytest.raises(RegimeError):
-            picard_solve(const_model(), LimitConfig(M=4, step=0.1, K=5.0, picard_iters=2),
-                         path, np.zeros(4))
+            picard_solve(const_model(), path, np.zeros(4), 2)
 
     def test_requires_finite_truncation(self):
         path = sample_path(STABLE_15, seed=9)
         with pytest.raises(ConfigError):
-            picard_solve(const_model(), LimitConfig(M=4, step=0.1, picard_iters=2),
-                         path, np.zeros(4))
+            picard_solve(const_model(), path, np.zeros(4), 2)
 
     def test_requires_iterations(self):
         with pytest.raises(ConfigError):
-            picard_solve(self.model, LimitConfig(M=128, step=0.01, K=5.0, picard_iters=0),
-                         self.path, self.init)
+            picard_solve(self.model, self.path, self.init, 0)
 
     def test_constant_rate_fixed_point_immediately(self):
-        _, u = picard_solve(
-            const_model(), LimitConfig(M=128, step=0.01, K=5.0, picard_iters=2),
-            self.path, self.init,
-        )
+        _, u = picard_solve(const_model(), self.path, self.init, 2)
         assert u[0] <= 1e-12
 
     def test_contraction(self):
-        _, u = picard_solve(
-            self.model, LimitConfig(M=128, step=0.01, K=5.0, picard_iters=5),
-            self.path, self.init,
-        )
+        _, u = picard_solve(self.model, self.path, self.init, 5)
         assert np.all(u[1:] < u[:-1])
 
     def test_matches_window_scheme(self):
         # fixed point vs the window-scheme simulator on the truncated path
-        cfg = LimitConfig(M=128, step=0.01, K=5.0, picard_iters=8)
-        bundle, _ = picard_solve(self.model, cfg, self.path, self.init)
-        direct = simulate_limit(
-            self.model, LimitConfig(M=128, step=0.01, K=5.0), self.path, self.init
-        )
+        bundle, _ = picard_solve(self.model, self.path, self.init, 8)
+        direct = simulate_limit(self.model, self.path, self.init)
         gap = np.abs(bundle.positions[:, -1] - direct.positions[:, -1]).mean()
         # both schemes discretize at the same step; gaps are O(step)
         assert gap < 0.1

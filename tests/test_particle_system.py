@@ -7,6 +7,7 @@ import pytest
 
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.errors import ConfigError
+from stablechaos.limit_system import simulate_limit
 from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
 from stablechaos.particle_system import (
     interaction_term,
@@ -15,6 +16,7 @@ from stablechaos.particle_system import (
     simulate_finite,
 )
 from stablechaos.rngtools import particle_streams, stream
+from stablechaos.stable_process import sample_driving_path
 
 STABLE_15 = StableSpec(alpha=1.5, a_plus=0.3, a_minus=0.3)
 HEAVY_08 = validate_heavy_tail(0.8, 0.5, 0.0, 0.2, 0.1, 1.0)
@@ -195,3 +197,61 @@ class TestLedgerWindows:
         _, ledger = simulate_finite(free_model(), STABLE_15, 4, 0.9, 0.25, master_seed=9)
         assert ledger.n_windows == 4
         assert ledger.horizon == pytest.approx(1.0)
+
+
+class TestObservationRules:
+    """Observation rules shared by the finite and limit simulators' event walk."""
+
+    # no drift and f = f_hi: the state moves only at events, and every proposal is accepted
+    MODEL = ModelSpec(
+        f=RateSpec("constant", c=1.5),
+        psi=KickSpec("constant", c=0.3),
+        nu0=InitSpec("gaussian", 0.0, 1.0),
+    )
+    SPEC = StableSpec(alpha=0.8, a_plus=0.3, a_minus=0.3)
+    N, DELTA = 8, 0.25
+
+    def setup_method(self):
+        self.initials = self.MODEL.nu0.sample(stream(31, "init"), self.N)
+        self.events = proposal_events(self.N, 1.5, 1.0, particle_streams(31, 0, self.N))
+
+    def _event_and_margin(self):
+        """An event strictly inside a window, and a margin that reaches no other event or edge."""
+        times = self.events.times
+        for j in range(1, times.size - 1):
+            te = float(times[j])
+            edge = min(te % self.DELTA, self.DELTA - te % self.DELTA)
+            margin = 0.25 * min(te - times[j - 1], times[j + 1] - te, edge)
+            if margin > 1e-6:
+                return j, te, margin
+        raise AssertionError("no interior event")
+
+    def _check_event_rules(self, positions, initials):
+        # columns: t = 0, just before the event, at the event, just after it
+        assert np.array_equal(positions[:, 0], initials)
+        assert np.array_equal(positions[:, 2], positions[:, 3])
+        assert not np.array_equal(positions[:, 1], positions[:, 2])
+
+    def test_finite(self):
+        j, te, eps = self._event_and_margin()
+        bundle, ledger = simulate_finite(
+            self.MODEL, self.SPEC, self.N, 1.0, self.DELTA, [0.0, te - eps, te, te + eps],
+            initials=self.initials, events=self.events, collateral_rng=stream(31, "collateral"),
+        )
+        assert ledger.accepted[j]
+        self._check_event_rules(bundle.positions, self.initials)
+
+    def test_limit(self):
+        j, te, eps = self._event_and_margin()
+        path = sample_driving_path(self.SPEC, 1.0, self.DELTA, np.inf, stream(31, "path"))
+        first_events = self.events.times[self.events.times <= self.DELTA]
+        before_end = 0.5 * (first_events[-1] + self.DELTA)
+        obs = [0.0, te - eps, te, te + eps, before_end, self.DELTA - 1e-12, self.DELTA]
+        out = simulate_limit(self.MODEL, path, self.initials, self.events, obs)
+        pos = out.positions[:, np.argsort(np.argsort(obs))]
+        self._check_event_rules(pos, self.initials)
+        # at a window end (within the tolerance) the window's increment is applied
+        factor = 1.5 ** (1.0 / 0.8)
+        assert np.allclose(pos[:, 6], pos[:, 4] + factor * path.increments[0], rtol=0, atol=1e-12)
+        assert np.array_equal(pos[:, 5], pos[:, 6])
+        assert not np.array_equal(pos[:, 4], pos[:, 6])
