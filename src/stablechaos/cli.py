@@ -11,6 +11,7 @@ Flags may be overridden by environment variables ``STABLECHAOS_SEED``,
 from __future__ import annotations
 
 import argparse
+import configparser
 import os
 import sys
 
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
             source = "STABLECHAOS_THREADS" if "STABLECHAOS_THREADS" in os.environ else "--threads"
             raise ConfigError(f"{source} must be at least 1, got {threads}")
         cfg = parse_config(args.config, seed_override=seed)
-    except (StableChaosError, OSError, KeyError, TypeError) as exc:
+    except (StableChaosError, OSError, KeyError, TypeError, configparser.Error) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .limit_system import simulate_limit
 from .metrics import d_q
 from .models import ModelSpec
-from .particle_system import JumpLedger, proposal_events, simulate_finite
+from .particle_system import EventTable, JumpLedger, proposal_events, simulate_finite
 from .rngtools import particle_streams, stream
 from .stable_process import DrivingPath, path_from_window_sums
 
@@ -35,6 +35,23 @@ def resolve_stable(collateral) -> StableSpec:
     if isinstance(collateral, HeavyTailSpec):
         return stable_params_from_heavy(collateral)
     raise ConfigError(f"unsupported collateral law {type(collateral).__name__}")
+
+
+def replicate_inputs(
+    model: ModelSpec,
+    N: int,
+    horizon: float,
+    master_seed: int,
+    replicate: int,
+) -> tuple[np.ndarray, EventTable, np.random.Generator]:
+    """One replicate's shared noise: (initials, proposal events, collateral stream).
+
+    The finite system consumes all three; the limit system is driven by the
+    same initials and proposal events, which is what couples the two.
+    """
+    initials = model.nu0.sample(stream(master_seed, "init", replicate), N)
+    events = proposal_events(N, model.f.f_hi, horizon, particle_streams(master_seed, replicate, N))
+    return initials, events, stream(master_seed, "collateral", replicate)
 
 
 def normalized_window_variables(
@@ -162,9 +179,7 @@ def coupled_error_experiment(
     alpha = spec.alpha
     if alpha < 1.0 and alpha_minus is None:
         raise ConfigError("alpha_minus is required for the d_q error metric when alpha < 1")
-    f_hi = model.f.f_hi
-    n_windows = int(math.ceil(T / delta - 1e-9))
-    horizon = n_windows * delta
+    horizon = int(math.ceil(T / delta - 1e-9)) * delta
     obs_times = np.sort(np.asarray(obs_times, dtype=float))
 
     n_obs = obs_times.size
@@ -175,12 +190,9 @@ def coupled_error_experiment(
 
     for idx in range(replications):
         r = first_replicate + idx
-        initials = model.nu0.sample(stream(master_seed, "init", r), N)
-        events = proposal_events(N, f_hi, horizon, particle_streams(master_seed, r, N))
+        initials, events, collateral_rng = replicate_inputs(model, N, horizon, master_seed, r)
         fin, ledger = simulate_finite(
-            model, collateral, N, horizon, delta, obs_times,
-            initials=initials, events=events,
-            collateral_rng=stream(master_seed, "collateral", r),
+            model, collateral, initials, events, collateral_rng, horizon, delta, obs_times,
         )
         driver = build_coupled_driver(ledger, collateral, delta, stream(master_seed, "fresh", r), K)
         lim = simulate_limit(model, driver, initials, events, obs_times)

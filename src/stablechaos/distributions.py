@@ -15,7 +15,7 @@ with ``a_plus_minus = (1 +/- beta) * alpha * A``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -58,9 +58,13 @@ class HeavyTailSpec:
     A_tilde: float
     L: float
     middle_fill: str = ATOM_AT_ZERO
-    centered: bool = False
 
     # -- derived quantities -------------------------------------------------
+
+    @property
+    def centered(self) -> bool:
+        """Sampling subtracts the mean exactly when it exists (alpha > 1)."""
+        return self.alpha > 1.0
 
     def tail_survival_at_cutoff(self) -> float:
         """A L^{-alpha} + A_tilde L^{-alpha-gamma} (one-sided, before skew weights)."""
@@ -89,14 +93,8 @@ def validate_heavy_tail(
     A_tilde: float,
     L: float,
     middle_fill: str = ATOM_AT_ZERO,
-    centered: bool | None = None,
 ) -> HeavyTailSpec:
-    """Check every constraint and return a frozen spec, or raise a diagnostic.
-
-    ``centered=None`` means "center exactly when alpha > 1", which is the
-    regime where the first moment exists and the collateral law must be
-    mean-zero.
-    """
+    """Check every constraint and return a frozen spec, or raise a diagnostic."""
     if not (0.0 < alpha < 2.0):
         raise RangeError(f"alpha must lie in (0, 2), got {alpha}")
     if abs(alpha - 1.0) < _INDEX_TOL:
@@ -117,11 +115,7 @@ def validate_heavy_tail(
         raise MassConstraintViolated(
             f"L^-alpha (A + L^-gamma A_tilde) = {mass:.6g} exceeds 1/2"
         )
-    if centered is None:
-        centered = alpha > 1.0
-    if centered and alpha < 1.0:
-        raise RangeError("centering requires alpha > 1 (first moment must exist)")
-    return HeavyTailSpec(alpha, gamma, beta, A, A_tilde, L, middle_fill, centered)
+    return HeavyTailSpec(alpha, gamma, beta, A, A_tilde, L, middle_fill)
 
 
 def _tail_survival(spec: HeavyTailSpec, y):
@@ -131,7 +125,7 @@ def _tail_survival(spec: HeavyTailSpec, y):
 
 
 def heavy_cdf(spec: HeavyTailSpec, x):
-    """CDF of the UNCENTERED law (centering is a shift applied only in sampling)."""
+    """CDF of the law before centering (centering is a shift applied only in sampling)."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -157,7 +151,7 @@ def heavy_cdf(spec: HeavyTailSpec, x):
 
 
 def heavy_mean(spec: HeavyTailSpec) -> float:
-    """E[xi] of the uncentered law, in closed form.  Requires alpha > 1."""
+    """E[xi] of the law before centering, in closed form.  Requires alpha > 1."""
     if spec.alpha < 1.0:
         raise MomentUndefined("mean requires alpha > 1")
     a, g, L = spec.alpha, spec.gamma, spec.L
@@ -199,10 +193,8 @@ def _tail_quantile(spec: HeavyTailSpec, s):
 
 
 def heavy_quantile(spec: HeavyTailSpec, u):
-    """Quantile function of the UNCENTERED law (generalized inverse of heavy_cdf)."""
-    u = np.asarray(u, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
+    """Quantile function of the law before centering (generalized inverse of heavy_cdf)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
     out = np.zeros_like(u)
 
     p_minus, p_plus = spec.p_minus, spec.p_plus
@@ -221,23 +213,16 @@ def heavy_quantile(spec: HeavyTailSpec, u):
             m0 = spec.middle_mass
             if m0 > 0.0:
                 out[mid] = -spec.L + 2.0 * spec.L * (u[mid] - p_minus) / m0
-    return float(out[0]) if scalar else out
+    return out
 
 
-def sample_heavy(spec: HeavyTailSpec, rng: np.random.Generator, size=None):
+def sample_heavy(spec: HeavyTailSpec, rng: np.random.Generator, size):
     """I.i.d. draws via inverse CDF; centered specs are shifted by the closed-form mean."""
     u = rng.random(size)
     x = heavy_quantile(spec, u)
     if spec.centered:
         x = x - heavy_mean(spec)
-    if size is None:
-        return float(np.asarray(x).reshape(()))
     return x
-
-
-def uncentered(spec: HeavyTailSpec) -> HeavyTailSpec:
-    """The same law without the centering shift (for tail diagnostics)."""
-    return replace(spec, centered=False)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +272,7 @@ def stable_params_from_heavy(spec: HeavyTailSpec) -> StableSpec:
     )
 
 
-def sample_stable(spec: StableSpec, rng: np.random.Generator, size=None):
+def sample_stable(spec: StableSpec, rng: np.random.Generator, size):
     """Chambers-Mallows-Stuck draws from the strictly stable law.
 
     Uses the zero-shift parametrization, which is strictly stable for
@@ -307,7 +292,4 @@ def sample_stable(spec: StableSpec, rng: np.random.Generator, size=None):
         / np.cos(v) ** (1.0 / a)
         * (np.cos(v - a * (v + shift)) / w) ** ((1.0 - a) / a)
     )
-    out = spec.sigma * x
-    if size is None:
-        return float(np.asarray(out).reshape(()))
-    return out
+    return spec.sigma * x

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ConfigError(f"[experiment] horizon must be positive and finite, got {self.T}")
         self.model.validate(self.alpha)
         alpha = self.alpha
         if self.alpha_minus is not None:
@@ -124,6 +126,11 @@ class ExperimentConfig:
             if alpha > 1.0 and self.alpha_minus <= 1.0:
                 raise ConfigError("alpha_minus must exceed 1 when alpha > 1")
         if self.experiment in ("coupling-sweep", "chaos-test"):
+            if self.obs_count < 2:
+                raise ConfigError(
+                    f"[experiment] obs_count must be at least 2 (t = 0 and the horizon), "
+                    f"got {self.obs_count}"
+                )
             if min(self.n_list) < 2:
                 raise ConfigError(f"n_list: every N must be at least 2, got {self.n_list}")
             if self.experiment == "coupling-sweep" and len(set(self.n_list)) < 3:
@@ -315,20 +322,18 @@ def clt_rate_experiment(
     ref_size: int,
     rng: np.random.Generator,
     alpha_minus: float | None = None,
-    trim: float | None = None,
 ) -> dict:
     """Distance between normalized i.i.d. sums and the stable attractor, per n.
 
     Uses W_1 for alpha > 1 and the d_q upper bound (q = alpha_minus) for
-    alpha < 1.  Sampling is chunked so memory stays bounded.  ``trim``
-    controls how much of each tail the quantile pairing discards; the
-    defaults (1% above, 5% below alpha = 1) keep the order-statistic noise
-    of the heavy-tailed samples below the law-vs-law signal.
+    alpha < 1.  Sampling is chunked so memory stays bounded.  The quantile
+    pairing discards 1% of each tail above alpha = 1 and 5% below, which
+    keeps the order-statistic noise of the heavy-tailed samples below the
+    law-vs-law signal.
     """
     spec = stable_params_from_heavy(heavy)
     alpha = heavy.alpha
-    if trim is None:
-        trim = 0.01 if alpha > 1.0 else 0.05
+    trim = 0.01 if alpha > 1.0 else 0.05
     ref = sample_stable(spec, rng, ref_size)
     rows = []
     for n in n_list:
@@ -359,8 +364,8 @@ def _snap_delta(delta: float, T: float) -> float:
     The coupled comparison is only meaningful at window boundaries: inside a
     window the finite system has already received collateral kicks that the
     limit system applies as one common increment at the window end.  Snapping
-    keeps every observation at a multiple of delta, in particular the
-    terminal one.
+    puts the terminal observation at a multiple of delta; the intermediate
+    points of the shared observation grid may still fall inside a window.
     """
     return T / math.ceil(T / delta - 1e-9)
 

@@ -8,37 +8,14 @@ bound, which is what every decay experiment in this library needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateDesign, EmptySample
 
-DEFAULT_QUANTILE_GRID = 10_000
-MAX_QUANTILE_GRID = 100_000
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """A sorted one-dimensional sample."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalSample":
-        arr = np.sort(np.asarray(values, dtype=float))
-        if arr.size == 0:
-            raise EmptySample("empirical sample must contain at least one point")
-        return cls(values=arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
+QUANTILE_GRID = 10_000
 
 
 def _as_sorted(x) -> np.ndarray:
-    if isinstance(x, EmpiricalSample):
-        return x.values
     arr = np.asarray(x, dtype=float)
     if arr.size == 0:
         raise EmptySample("empirical sample must contain at least one point")
@@ -62,18 +39,18 @@ def _quantile_grid(sorted_vals: np.ndarray, m: int, trim: float) -> np.ndarray:
     return sorted_vals[idx]
 
 
-def _paired(xs, ys, grid: int = DEFAULT_QUANTILE_GRID, trim: float = 0.0):
+def _paired(xs, ys, trim: float = 0.0):
     """Common-length sorted pairing; unequal sizes go through a quantile grid."""
     x = _as_sorted(xs)
     y = _as_sorted(ys)
     if x.size != y.size or trim > 0.0:
-        m = min(max(x.size, y.size), grid, MAX_QUANTILE_GRID)
+        m = min(max(x.size, y.size), QUANTILE_GRID)
         x = _quantile_grid(x, m, trim)
         y = _quantile_grid(y, m, trim)
     return x, y
 
 
-def wp_empirical(xs, ys, p: float, grid: int = DEFAULT_QUANTILE_GRID, trim: float = 0.0) -> float:
+def wp_empirical(xs, ys, p: float, trim: float = 0.0) -> float:
     """Order-p Wasserstein distance under the monotone coupling.
 
     Exact for p >= 1; an upper bound for p < 1 (returned as the mean of
@@ -82,7 +59,7 @@ def wp_empirical(xs, ys, p: float, grid: int = DEFAULT_QUANTILE_GRID, trim: floa
     """
     if p <= 0.0:
         raise ValueError("order p must be positive")
-    x, y = _paired(xs, ys, grid, trim)
+    x, y = _paired(xs, ys, trim)
     gaps = np.abs(x - y)
     if p >= 1.0:
         return float(np.mean(gaps ** p) ** (1.0 / p))
@@ -95,11 +72,11 @@ def d_q(x, y, q: float):
     return np.minimum(gap, gap ** q)
 
 
-def wdq_upper(xs, ys, q: float, grid: int = DEFAULT_QUANTILE_GRID, trim: float = 0.0) -> float:
+def wdq_upper(xs, ys, q: float, trim: float = 0.0) -> float:
     """Upper bound on the d_q-Wasserstein distance via the monotone coupling."""
     if not (0.0 < q <= 1.0):
         raise ValueError("exponent q must lie in (0, 1]")
-    x, y = _paired(xs, ys, grid, trim)
+    x, y = _paired(xs, ys, trim)
     return float(np.mean(d_q(x, y, q)))
 
 

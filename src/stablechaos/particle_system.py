@@ -22,7 +22,6 @@ import numpy as np
 from .distributions import HeavyTailSpec, StableSpec, sample_heavy, sample_stable
 from .errors import ConfigError
 from .models import ModelSpec, drift, kick
-from .rngtools import particle_streams, stream
 
 
 # ---------------------------------------------------------------------------
@@ -72,19 +71,22 @@ def proposal_events(n: int, f_hi: float, horizon: float, streams) -> EventTable:
     )
 
 
+# Draws per refill of a DrawCache.
+_DRAW_CHUNK = 1024
+
+
 class DrawCache:
     """Batches scalar draws from a vectorized sampler, preserving draw order."""
 
-    def __init__(self, sampler, rng, batch: int = 1024):
+    def __init__(self, sampler, rng):
         self._sampler = sampler
         self._rng = rng
-        self._batch = batch
         self._buf = np.empty(0)
         self._pos = 0
 
     def take(self) -> float:
         if self._pos >= self._buf.size:
-            self._buf = np.asarray(self._sampler(self._rng, self._batch))
+            self._buf = np.asarray(self._sampler(self._rng, _DRAW_CHUNK))
             self._pos = 0
         val = float(self._buf[self._pos])
         self._pos += 1
@@ -189,16 +191,15 @@ class TrajectoryBundle:
 
 @dataclass(frozen=True)
 class JumpLedger:
-    """Complete event record plus per-window aggregates of accepted jumps."""
+    """Per-event acceptance and collateral sizes plus per-window aggregates.
+
+    Event times and particles are those of the ``EventTable`` the ledger was
+    built from; the number of windows is ``window_counts.size``.
+    """
 
     delta: float
-    horizon: float
-    n_windows: int
-    times: np.ndarray
-    particles: np.ndarray
     accepted: np.ndarray       # bool
     u: np.ndarray              # collateral sizes; NaN for rejected proposals
-    main_applied: np.ndarray   # bool
     window_counts: np.ndarray  # P_k
     window_sums: np.ndarray    # sum of u over window k
 
@@ -209,7 +210,7 @@ def _window_index(times: np.ndarray, delta: float, n_windows: int) -> np.ndarray
     return np.clip(k, 0, n_windows - 1)
 
 
-def ledger_from_events(times, particles, accepted, u, main_applied, delta, horizon) -> JumpLedger:
+def ledger_from_events(times, accepted, u, delta, horizon) -> JumpLedger:
     n_windows = int(math.ceil(horizon / delta - 1e-9))
     times = np.asarray(times, dtype=float)
     accepted = np.asarray(accepted, dtype=bool)
@@ -225,13 +226,8 @@ def ledger_from_events(times, particles, accepted, u, main_applied, delta, horiz
         sums = np.zeros(n_windows)
     return JumpLedger(
         delta=delta,
-        horizon=horizon,
-        n_windows=n_windows,
-        times=times,
-        particles=np.asarray(particles, dtype=np.int64),
         accepted=accepted,
         u=u,
-        main_applied=np.asarray(main_applied, dtype=bool),
         window_counts=counts,
         window_sums=sums,
     )
@@ -244,50 +240,36 @@ def ledger_from_events(times, particles, accepted, u, main_applied, delta, horiz
 def simulate_finite(
     model: ModelSpec,
     collateral,
-    N: int,
+    initials: np.ndarray,
+    events: EventTable,
+    collateral_rng: np.random.Generator,
     T: float,
     delta: float,
     obs_times=None,
-    *,
-    master_seed: int | None = None,
-    replicate: int = 0,
-    initials: np.ndarray | None = None,
-    events: EventTable | None = None,
-    collateral_rng: np.random.Generator | None = None,
 ) -> tuple[TrajectoryBundle, JumpLedger]:
-    """Simulate the N-particle system up to the window-grid horizon >= T.
+    """Simulate the N = len(initials) particle system up to the window-grid horizon >= T.
 
     The effective horizon is ceil(T / delta) * delta so that the jump ledger
-    always covers whole windows.  Initial positions, the merged proposal-event
-    table, and the collateral RNG may be supplied explicitly (the coupling
-    shares them with the limit system); otherwise they are derived from
-    ``(master_seed, replicate)``.
+    always covers whole windows.  The initial positions, the merged
+    proposal-event table and the collateral RNG are one replicate's random
+    inputs (``coupling.replicate_inputs``); the coupling shares the first two
+    with the limit system.
     """
     alpha = collateral.alpha
     f_hi = model.f.f_hi
     model.validate(alpha)
+    N = len(initials)
     if N < 2:
         raise ConfigError("need at least two particles")
     if not (2.0 * delta * f_hi < 1.0):
         raise ConfigError(f"need 2 * delta * f_hi < 1, got {2.0 * delta * f_hi}")
 
-    n_windows = int(math.ceil(T / delta - 1e-9))
-    horizon = n_windows * delta
+    horizon = int(math.ceil(T / delta - 1e-9)) * delta
     if obs_times is None:
         obs_times = np.array([T])
     obs_times = np.sort(np.asarray(obs_times, dtype=float))
     if obs_times.size and obs_times[-1] > horizon + 1e-12:
         raise ConfigError("observation times must not exceed the horizon")
-
-    if initials is None or events is None or collateral_rng is None:
-        if master_seed is None:
-            raise ConfigError("master_seed required when streams are not supplied")
-    if initials is None:
-        initials = model.nu0.sample(stream(master_seed, "init", replicate), N)
-    if events is None:
-        events = proposal_events(N, f_hi, horizon, particle_streams(master_seed, replicate, N))
-    if collateral_rng is None:
-        collateral_rng = stream(master_seed, "collateral", replicate)
 
     cache = DrawCache(collateral_sampler(collateral), collateral_rng)
     inv_root = N ** (-1.0 / alpha)
@@ -312,16 +294,4 @@ def simulate_finite(
         walk.record(obs_times[-1])
 
     bundle = TrajectoryBundle(times=obs_times, positions=walk.positions)
-    ledger = ledger_from_events(
-        events.times, events.particles, accepted, u, accepted & main_enabled, delta, horizon
-    )
-    return bundle, ledger
-
-
-def interaction_term(ledger: JumpLedger, collateral, N: int, t: float) -> float:
-    """A^N_t = N^{-1/alpha} * sum of accepted collateral sizes up to time t."""
-    if t > ledger.horizon + 1e-12:
-        raise ConfigError("t exceeds the ledger horizon")
-    mask = ledger.accepted & (ledger.times <= t)
-    return float(N ** (-1.0 / collateral.alpha) * np.sum(ledger.u[mask]))
-
+    return bundle, ledger_from_events(events.times, accepted, u, delta, horizon)

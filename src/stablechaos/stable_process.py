@@ -46,23 +46,6 @@ class DrivingPath:
     def grid_times(self) -> np.ndarray:
         return self.grid_step * np.arange(1, self.n_cells + 1)
 
-    def grid_values(self) -> np.ndarray:
-        """Path value at each grid time: increments plus big jumps up to that time."""
-        vals = np.cumsum(self.increments)
-        if self.big_times.size:
-            add = np.zeros(self.n_cells)
-            cells = np.minimum(
-                np.ceil(self.big_times / self.grid_step).astype(int) - 1, self.n_cells - 1
-            )
-            cells = np.maximum(cells, 0)
-            np.add.at(add, cells, self.big_sizes)
-            vals = vals + np.cumsum(add)
-        return vals
-
-    def total(self) -> float:
-        """Value at the horizon."""
-        return float(np.sum(self.increments) + np.sum(self.big_sizes))
-
 
 def big_jump_rate(spec: StableSpec, K: float) -> float:
     """Levy mass of {|z| > K}: (a_+ + a_-) K^{-alpha} / alpha."""
@@ -80,9 +63,13 @@ def compensator_MK(spec: StableSpec, K: float) -> float:
     return (spec.a_plus - spec.a_minus) * K ** (1.0 - spec.alpha) / (spec.alpha - 1.0)
 
 
-def default_truncation(spec: StableSpec, horizon: float, p_big: float = 0.01) -> float:
-    """Truncation level K making a big jump on [0, horizon] rarer than p_big."""
-    budget = -math.log(1.0 - p_big)
+# Probability of a big jump on [0, horizon] under the default truncation level.
+_BIG_JUMP_PROB = 0.01
+
+
+def default_truncation(spec: StableSpec, horizon: float) -> float:
+    """Truncation level K making a big jump on [0, horizon] rarer than 1 %."""
+    budget = -math.log(1.0 - _BIG_JUMP_PROB)
     return ((spec.a_plus + spec.a_minus) * horizon / (spec.alpha * budget)) ** (1.0 / spec.alpha)
 
 

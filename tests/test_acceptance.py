@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, expon, kstest, poisson
 
+from stablechaos.coupling import replicate_inputs
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.harness import (
     ExperimentConfig,
     chaos_distance,
+    choose_delta,
     clt_rate_experiment,
     run_coupled_sweep,
     run_experiment,
@@ -137,9 +139,10 @@ class TestPoissonWindowCounts:
             psi=KickSpec("zero"),
             nu0=InitSpec("point", 0.0),
         )
+        T = n_windows * delta
         _, ledger = simulate_finite(
-            model, StableSpec(0.8, 0.3, 0.3), N, n_windows * delta, delta,
-            master_seed=MASTER_SEED,
+            model, StableSpec(0.8, 0.3, 0.3), *replicate_inputs(model, N, T, MASTER_SEED, 0),
+            T, delta,
         )
         counts = ledger.window_counts
         assert counts.size == n_windows
@@ -180,6 +183,21 @@ class TestCouplingErrorDecay:
         assert all(a > b for a, b in zip(terminal, terminal[1:]))
         slope, _ = loglog_slope(list(zip(SWEEP_NS, terminal)))
         assert -0.45 <= slope <= -0.05
+
+    @staticmethod
+    def _fitted_slope(sweep):
+        terminal = [float(sweep[n].err_censored_mean[-1]) for n in SWEEP_NS]
+        return loglog_slope(list(zip(SWEEP_NS, terminal)))
+
+    def test_alpha_08_decays_at_least_at_predicted_rate(self, sweep_08):
+        # eta = 0.2 is the choose_delta window for gamma = 0.5, which predicts N^-0.2
+        slope, stderr = self._fitted_slope(sweep_08)
+        assert slope <= -0.2 + 2.0 * stderr
+
+    def test_alpha_15_decays_at_least_at_predicted_rate(self, sweep_15):
+        _, _, predicted = choose_delta(1.5, 0.3, SWEEP_NS[0])
+        slope, stderr = self._fitted_slope(sweep_15)
+        assert slope <= predicted + 2.0 * stderr
 
     def test_initial_error_is_exactly_zero(self, sweep_08):
         for n in SWEEP_NS:

@@ -9,13 +9,14 @@ from stablechaos.coupling import (
     build_coupled_driver,
     coupled_error_experiment,
     normalized_window_variables,
+    replicate_inputs,
     resolve_stable,
 )
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.errors import ConfigError
 from stablechaos.metrics import ks_two_sample
 from stablechaos.models import InitSpec, ModelSpec, RateSpec
-from stablechaos.particle_system import interaction_term, ledger_from_events, simulate_finite
+from stablechaos.particle_system import ledger_from_events, simulate_finite
 from stablechaos.distributions import sample_stable
 from stablechaos.rngtools import stream
 
@@ -28,32 +29,25 @@ def const_model(c=1.0):
 
 class TestWindowAggregate:
     def test_two_events(self):
-        ledger = ledger_from_events(
-            [0.1, 0.3], [0, 1], [True, True], [1.0, -2.0], [False, False], 0.25, 0.5,
-        )
+        ledger = ledger_from_events([0.1, 0.3], [True, True], [1.0, -2.0], 0.25, 0.5)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [1, 1]
         assert sums.tolist() == [1.0, -2.0]
 
     def test_empty(self):
-        ledger = ledger_from_events([], [], [], [], [], 0.25, 1.0)
+        ledger = ledger_from_events([], [], [], 0.25, 1.0)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [0, 0, 0, 0]
         assert sums.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_three_in_one_window(self):
-        ledger = ledger_from_events(
-            [0.1, 0.15, 0.2], [0, 1, 2], [True] * 3, [1.0, 1.0, -1.0], [False] * 3,
-            0.25, 0.25,
-        )
+        ledger = ledger_from_events([0.1, 0.15, 0.2], [True] * 3, [1.0, 1.0, -1.0], 0.25, 0.25)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [3]
         assert sums[0] == pytest.approx(1.0)
 
     def test_rejected_events_excluded(self):
-        ledger = ledger_from_events(
-            [0.1, 0.2], [0, 1], [True, False], [1.0, np.nan], [False, False], 0.25, 0.25,
-        )
+        ledger = ledger_from_events([0.1, 0.2], [True, False], [1.0, np.nan], 0.25, 0.25)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [1]
         assert sums[0] == pytest.approx(1.0)
@@ -98,9 +92,8 @@ def exact_windows():
     counts_all, w_all = [], []
     rng = stream(17, "fresh")
     for r in range(40):
-        _, ledger = simulate_finite(
-            model, STABLE_15, 8, 50.0, 0.4, master_seed=17, replicate=r,
-        )
+        inputs = replicate_inputs(model, 8, 50.0, 17, r)
+        _, ledger = simulate_finite(model, STABLE_15, *inputs, 50.0, 0.4)
         counts = ledger.window_counts
         w = normalized_window_variables(counts, ledger.window_sums, 1.5, rng, STABLE_15)
         keep = counts > 0
@@ -128,22 +121,25 @@ class TestExactMode:
 
 class TestCoupledDriver:
     def test_delta_mismatch_rejected(self):
-        ledger = ledger_from_events([], [], [], [], [], 0.25, 1.0)
+        ledger = ledger_from_events([], [], [], 0.25, 1.0)
         with pytest.raises(ConfigError):
             build_coupled_driver(ledger, STABLE_15, 0.5, stream(0, "fresh"))
 
     def test_interaction_identity(self):
-        # interaction_term(T) = sum_k (P_k / N)^{1/alpha} W_k exactly
+        # the interaction term A^N_T = N^{-1/alpha} * (sum of accepted u)
+        # equals sum_k (P_k / N)^{1/alpha} W_k exactly
         n = 16
         model = const_model(1.0)
-        _, ledger = simulate_finite(model, STABLE_15, n, 2.0, 0.25, master_seed=19)
+        inputs = replicate_inputs(model, n, 2.0, 19, 0)
+        _, ledger = simulate_finite(model, STABLE_15, *inputs, 2.0, 0.25)
         counts = ledger.window_counts
         w = normalized_window_variables(counts, ledger.window_sums, 1.5, stream(19, "fresh"), STABLE_15)
         nonzero = counts > 0
         recon = np.sum(
             (counts[nonzero] / n) ** (1.0 / 1.5) * w[nonzero]
         )
-        assert interaction_term(ledger, STABLE_15, n, 2.0) == pytest.approx(recon, abs=1e-12)
+        interaction = n ** (-1.0 / 1.5) * np.sum(ledger.u[ledger.accepted])
+        assert interaction == pytest.approx(recon, abs=1e-12)
 
     def test_driver_independent_of_initials(self):
         # exact mode: correlation between the first initial position and each
@@ -151,11 +147,8 @@ class TestCoupledDriver:
         model = const_model(1.0)
         inits, incs = [], []
         for r in range(400):
-            initial = model.nu0.sample(stream(23, "init", r), 8)
-            _, ledger = simulate_finite(
-                model, STABLE_15, 8, 1.0, 0.25, master_seed=23, replicate=r,
-                initials=initial,
-            )
+            initial, events, collateral_rng = replicate_inputs(model, 8, 1.0, 23, r)
+            _, ledger = simulate_finite(model, STABLE_15, initial, events, collateral_rng, 1.0, 0.25)
             driver = build_coupled_driver(ledger, STABLE_15, 0.25, stream(23, "fresh", r))
             inits.append(initial[0])
             incs.append(driver.increments)

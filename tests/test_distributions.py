@@ -17,7 +17,6 @@ from stablechaos.distributions import (
     sample_stable,
     stable_params_from_heavy,
     tail_constant,
-    uncentered,
     validate_heavy_tail,
 )
 from stablechaos.errors import (
@@ -67,10 +66,6 @@ class TestValidation:
         base.update(kwargs)
         with pytest.raises(RangeError):
             validate_heavy_tail(**base)
-
-    def test_centering_below_one_rejected(self):
-        with pytest.raises(RangeError):
-            validate_heavy_tail(0.5, 0.6, 0.0, 0.2, 0.1, 1.0, centered=True)
 
     def test_auto_centering_regimes(self):
         assert validate_heavy_tail(1.5, 0.6, 0.0, 0.1, 0.05, 1.0).centered
@@ -290,9 +285,3 @@ class TestProperties:
         spec = validate_heavy_tail(alpha, 0.31, 0.25, 0.2, 0.1, 1.2)
         lo, hi = min(x, y), max(x, y)
         assert heavy_cdf(spec, lo) <= heavy_cdf(spec, hi) + 1e-15
-
-    def test_uncentered_helper(self):
-        spec = validate_heavy_tail(1.5, 0.6, 0.5, 0.1, 0.05, 1.0)
-        assert spec.centered
-        assert not uncentered(spec).centered
-        assert uncentered(spec).alpha == spec.alpha

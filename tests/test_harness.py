@@ -286,6 +286,48 @@ class TestRunExperiment:
         assert len(lines) == 4
 
 
+SWEEP_CONFIG = """\
+[experiment]
+kind = {kind}
+n_list = 8, 16, 32
+eta = 0.5
+replications = 2
+master_seed = 3
+{key} = {value}
+
+[model]
+f = constant
+c = 1.0
+nu0 = gaussian
+
+[law]
+mode = stable
+alpha = 1.5
+a_plus = 0.3
+a_minus = 0.3
+"""
+
+
+class TestObservationGrid:
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("coupling-sweep", "horizon", "0"),
+            ("coupling-sweep", "horizon", "-1"),
+            ("coupling-sweep", "obs_count", "0"),
+            ("coupling-sweep", "obs_count", "1"),
+            ("chaos-test", "obs_count", "1"),
+        ],
+    )
+    def test_bad_grid_exit_code(self, tmp_path, capsys, kind, key, value):
+        p = tmp_path / "cfg.ini"
+        p.write_text(SWEEP_CONFIG.format(kind=kind, key=key, value=value))
+        out = tmp_path / "out"
+        assert cli_main([kind, "--config", str(p), "--out", str(out)]) == 2
+        assert f"[experiment] {key}" in capsys.readouterr().err
+        assert not any(out.glob("*.csv"))
+
+
 class TestDegenerateSweeps:
     @staticmethod
     def _config(experiment, **kwargs):
@@ -333,6 +375,14 @@ class TestCli:
 
     def test_missing_config(self, tmp_path):
         assert cli_main(["selfsim", "--config", str(tmp_path / "nope.ini")]) == 2
+
+    def test_config_without_section_headers(self, tmp_path, capsys):
+        p = tmp_path / "cfg.ini"
+        p.write_text("kind = selfsim\n")
+        out = tmp_path / "out"
+        assert cli_main(["selfsim", "--config", str(p), "--out", str(out)]) == 2
+        assert "no section headers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_validate_subcommand(self, tmp_path, capsys):
         p = tmp_path / "cfg.ini"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from stablechaos.errors import DegenerateDesign, EmptySample
 from stablechaos.metrics import (
-    EmpiricalSample,
     d_q,
     ks_two_sample,
     loglog_slope,
@@ -108,17 +107,6 @@ class TestLoglogSlope:
     def test_coincident_abscissae(self):
         with pytest.raises(DegenerateDesign):
             loglog_slope([(2, 1.0), (2, 2.0), (2, 3.0)])
-
-
-class TestEmpiricalSample:
-    def test_sorted_on_construction(self):
-        s = EmpiricalSample.from_values([3.0, 1.0, 2.0])
-        assert np.all(np.diff(s.values) >= 0)
-        assert s.n == 3
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySample):
-            EmpiricalSample.from_values([])
 
 
 _samples = st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=32)

@@ -5,16 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from stablechaos.coupling import replicate_inputs
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.errors import ConfigError
 from stablechaos.limit_system import simulate_limit
 from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
-from stablechaos.particle_system import (
-    interaction_term,
-    ledger_from_events,
-    proposal_events,
-    simulate_finite,
-)
+from stablechaos.particle_system import ledger_from_events, proposal_events, simulate_finite
 from stablechaos.rngtools import particle_streams, stream
 from stablechaos.stable_process import sample_driving_path
 
@@ -28,18 +24,20 @@ def free_model(**kwargs):
     return ModelSpec(**defaults)
 
 
+def run_replicate(model, collateral, N, T, delta, seed, replicate=0, obs_times=None):
+    """The finite system on replicate ``replicate`` of ``seed``; T is a whole number of windows."""
+    inputs = replicate_inputs(model, N, T, seed, replicate)
+    return simulate_finite(model, collateral, *inputs, T, delta, obs_times)
+
+
 class TestPreconditions:
     def test_window_condition(self):
         with pytest.raises(ConfigError):
-            simulate_finite(free_model(), STABLE_15, 4, 1.0, 0.6, master_seed=0)
+            run_replicate(free_model(), STABLE_15, 4, 1.0, 0.6, seed=0)
 
     def test_minimum_particles(self):
         with pytest.raises(ConfigError):
-            simulate_finite(free_model(), STABLE_15, 1, 1.0, 0.25, master_seed=0)
-
-    def test_seed_required_without_streams(self):
-        with pytest.raises(ConfigError):
-            simulate_finite(free_model(), STABLE_15, 4, 1.0, 0.25)
+            run_replicate(free_model(), STABLE_15, 1, 1.0, 0.25, seed=0)
 
 
 class TestEventStatistics:
@@ -47,9 +45,8 @@ class TestEventStatistics:
         # N=2, f = 1: accepted events over [0, 1] are Poisson(2)
         counts = []
         for r in range(10_000):
-            _, ledger = simulate_finite(
-                free_model(nu0=InitSpec("point", 0.0)), STABLE_15, 2, 1.0, 0.25,
-                master_seed=42, replicate=r,
+            _, ledger = run_replicate(
+                free_model(nu0=InitSpec("point", 0.0)), STABLE_15, 2, 1.0, 0.25, seed=42, replicate=r,
             )
             counts.append(int(ledger.accepted.sum()))
         counts = np.asarray(counts, dtype=float)
@@ -59,9 +56,7 @@ class TestEventStatistics:
 
     def test_window_counts_poisson_mean_var(self):
         model = free_model(f=RateSpec("constant", c=0.8))
-        _, ledger = simulate_finite(
-            model, STABLE_15, 8, 500.0, 0.5, master_seed=7,
-        )
+        _, ledger = run_replicate(model, STABLE_15, 8, 500.0, 0.5, seed=7)
         lam = 8 * 0.8 * 0.5
         counts = ledger.window_counts.astype(float)
         se = math.sqrt(lam / counts.size)
@@ -78,9 +73,8 @@ class TestEventStatistics:
         p_exp = float(np.mean(rate(model, initials))) / 1.5
         accs, props = 0, 0
         for r in range(40):
-            _, ledger = simulate_finite(
-                model, tiny, 64, 5.0, 0.25, master_seed=3, replicate=r, initials=initials,
-            )
+            _, events, collateral_rng = replicate_inputs(model, 64, 5.0, 3, r)
+            _, ledger = simulate_finite(model, tiny, initials, events, collateral_rng, 5.0, 0.25)
             accs += int(ledger.accepted.sum())
             props += ledger.accepted.size
         se = math.sqrt(p_exp * (1 - p_exp) / props)
@@ -89,12 +83,12 @@ class TestEventStatistics:
 
 class TestDeterminismAndExchangeability:
     def test_bit_exact_rerun(self):
-        kwargs = dict(master_seed=11, replicate=2)
-        b1, l1 = simulate_finite(free_model(), STABLE_15, 8, 1.0, 0.25, **kwargs)
-        b2, l2 = simulate_finite(free_model(), STABLE_15, 8, 1.0, 0.25, **kwargs)
+        kwargs = dict(seed=11, replicate=2)
+        b1, l1 = run_replicate(free_model(), STABLE_15, 8, 1.0, 0.25, **kwargs)
+        b2, l2 = run_replicate(free_model(), STABLE_15, 8, 1.0, 0.25, **kwargs)
         assert np.array_equal(b1.positions, b2.positions)
         assert np.array_equal(l1.u, l2.u, equal_nan=True)
-        assert np.array_equal(l1.times, l2.times)
+        assert np.array_equal(l1.accepted, l2.accepted)
 
     def test_permutation_equivariance(self):
         model = free_model(
@@ -109,14 +103,12 @@ class TestDeterminismAndExchangeability:
         streams = particle_streams(seed, 0, n)
         ev = proposal_events(n, 1.5, 1.0, streams)
         b1, _ = simulate_finite(
-            model, STABLE_15, n, 1.0, 0.25, initials=initials, events=ev,
-            collateral_rng=stream(seed, "collateral"),
+            model, STABLE_15, initials, ev, stream(seed, "collateral"), 1.0, 0.25,
         )
         streams_p = [particle_streams(seed, 0, n)[pi[i]] for i in range(n)]
         ev_p = proposal_events(n, 1.5, 1.0, streams_p)
         b2, _ = simulate_finite(
-            model, STABLE_15, n, 1.0, 0.25, initials=initials[pi], events=ev_p,
-            collateral_rng=stream(seed, "collateral"),
+            model, STABLE_15, initials[pi], ev_p, stream(seed, "collateral"), 1.0, 0.25,
         )
         assert np.array_equal(b2.positions, b1.positions[pi])
 
@@ -124,79 +116,67 @@ class TestDeterminismAndExchangeability:
 class TestBookkeeping:
     def test_free_motion_identity(self):
         # b = 0, psi = 0: each particle moves exactly by the collateral sums
-        # of the OTHERS, i.e. interaction term minus its own contributions
+        # of the OTHERS: the interaction term A^N_T = N^{-1/alpha} * (sum of
+        # accepted u) minus the particle's own contributions
         n, T = 8, 2.0
         model = free_model(nu0=InitSpec("point", 0.0))
+        initials, events, collateral_rng = replicate_inputs(model, n, T, 21, 0)
         bundle, ledger = simulate_finite(
-            model, HEAVY_08, n, T, 0.25, obs_times=[T], master_seed=21,
+            model, HEAVY_08, initials, events, collateral_rng, T, 0.25, obs_times=[T],
         )
         inv_root = n ** (-1.0 / HEAVY_08.alpha)
-        total = interaction_term(ledger, HEAVY_08, n, T)
+        total = inv_root * np.sum(ledger.u[ledger.accepted])
         for i in range(n):
-            own = ledger.accepted & (ledger.particles == i)
+            own = ledger.accepted & (events.particles == i)
             expected = total - inv_root * np.sum(ledger.u[own])
             assert bundle.positions[i, -1] == pytest.approx(expected, abs=1e-12)
 
     def test_rejected_events_carry_no_u(self):
-        _, ledger = simulate_finite(
-            free_model(f=RateSpec("logistic", lo=0.5, hi=1.5)),
-            STABLE_15, 8, 2.0, 0.25, master_seed=5,
+        _, ledger = run_replicate(
+            free_model(f=RateSpec("logistic", lo=0.5, hi=1.5)), STABLE_15, 8, 2.0, 0.25, seed=5,
         )
         assert np.all(np.isnan(ledger.u[~ledger.accepted]))
         assert not np.any(np.isnan(ledger.u[ledger.accepted]))
 
     def test_window_aggregates_match_events(self):
-        _, ledger = simulate_finite(free_model(), STABLE_15, 8, 2.0, 0.25, master_seed=6)
+        _, ledger = run_replicate(free_model(), STABLE_15, 8, 2.0, 0.25, seed=6)
         assert int(ledger.window_counts.sum()) == int(ledger.accepted.sum())
         assert ledger.window_sums.sum() == pytest.approx(
             np.nansum(ledger.u[ledger.accepted]), abs=1e-12
         )
 
 
-class TestInteractionTerm:
-    def test_empty(self):
-        ledger = ledger_from_events([], [], [], [], [], 0.25, 1.0)
-        assert interaction_term(ledger, HEAVY_08, 16, 1.0) == 0.0
-
-    def test_single_event_arithmetic(self):
-        spec = validate_heavy_tail(0.5, 0.6, 0.0, 0.2, 0.1, 1.0)
-        ledger = ledger_from_events([0.4], [0], [True], [2.0], [False], 0.25, 1.0)
-        assert interaction_term(ledger, spec, 16, 1.0) == pytest.approx(2.0 / 256.0)
-
-    def test_additivity(self):
-        ledger = ledger_from_events(
-            [0.1, 0.4, 0.9], [0, 1, 0], [True, True, True], [1.0, -2.0, 3.0],
-            [False] * 3, 0.25, 1.0,
-        )
-        a_half = interaction_term(ledger, HEAVY_08, 16, 0.5)
-        a_full = interaction_term(ledger, HEAVY_08, 16, 1.0)
-        assert a_full == pytest.approx(a_half + 3.0 * 16 ** (-1.0 / 0.8), abs=1e-12)
-
-    def test_beyond_horizon_rejected(self):
-        ledger = ledger_from_events([], [], [], [], [], 0.25, 1.0)
-        with pytest.raises(ConfigError):
-            interaction_term(ledger, HEAVY_08, 16, 2.0)
-
-
 class TestLedgerWindows:
     def test_boundary_event_belongs_to_left_window(self):
         # window k covers (k delta, (k+1) delta]
-        ledger = ledger_from_events(
-            [0.25, 0.2500000001], [0, 1], [True, True], [1.0, 1.0], [False, False],
-            0.25, 1.0,
-        )
+        ledger = ledger_from_events([0.25, 0.2500000001], [True, True], [1.0, 1.0], 0.25, 1.0)
         assert ledger.window_counts[0] == 1
         assert ledger.window_counts[1] == 1
 
     def test_main_jump_flag_alpha_below_one(self):
-        model = free_model(psi=KickSpec("tanh", c=0.3), nu0=InitSpec("gaussian", 0.0, 1.0))
-        _, ledger = simulate_finite(model, HEAVY_08, 8, 2.0, 0.25, master_seed=8)
-        assert np.array_equal(ledger.main_applied, ledger.accepted)
+        # alpha < 1 and psi = -c: every accepted event also moves its own particle by -c
+        n, T, c = 8, 2.0, 0.3
+        model = free_model(psi=KickSpec("constant", c=c), nu0=InitSpec("point", 0.0))
+        initials, events, collateral_rng = replicate_inputs(model, n, T, 8, 0)
+        bundle, ledger = simulate_finite(model, HEAVY_08, initials, events, collateral_rng, T, 0.25)
+        inv_root = n ** (-1.0 / HEAVY_08.alpha)
+        total = inv_root * np.sum(ledger.u[ledger.accepted])
+        for i in range(n):
+            own = ledger.accepted & (events.particles == i)
+            expected = total - inv_root * np.sum(ledger.u[own]) - c * own.sum()
+            assert bundle.positions[i, -1] == pytest.approx(expected, abs=1e-12)
+        assert ledger.accepted.any()
 
     def test_horizon_rounds_up_to_whole_windows(self):
-        _, ledger = simulate_finite(free_model(), STABLE_15, 4, 0.9, 0.25, master_seed=9)
-        assert ledger.n_windows == 4
-        assert ledger.horizon == pytest.approx(1.0)
+        model = free_model()
+        inputs = replicate_inputs(model, 4, 1.0, 9, 0)
+        bundle, ledger = simulate_finite(model, STABLE_15, *inputs, 0.9, 0.25)
+        assert ledger.window_counts.size == 4
+        assert bundle.times.tolist() == [0.9]
+        # observations may reach the rounded-up horizon 1.0, but not beyond it
+        simulate_finite(model, STABLE_15, *inputs, 0.9, 0.25, obs_times=[1.0])
+        with pytest.raises(ConfigError):
+            simulate_finite(model, STABLE_15, *inputs, 0.9, 0.25, obs_times=[1.0 + 1e-6])
 
 
 class TestObservationRules:
@@ -235,8 +215,8 @@ class TestObservationRules:
     def test_finite(self):
         j, te, eps = self._event_and_margin()
         bundle, ledger = simulate_finite(
-            self.MODEL, self.SPEC, self.N, 1.0, self.DELTA, [0.0, te - eps, te, te + eps],
-            initials=self.initials, events=self.events, collateral_rng=stream(31, "collateral"),
+            self.MODEL, self.SPEC, self.initials, self.events, stream(31, "collateral"),
+            1.0, self.DELTA, [0.0, te - eps, te, te + eps],
         )
         assert ledger.accepted[j]
         self._check_event_rules(bundle.positions, self.initials)
