@@ -23,7 +23,7 @@ from .errors import ConfigError
 from .limit_system import simulate_limit
 from .metrics import d_q
 from .models import ModelSpec
-from .particle_system import EventTable, JumpLedger, proposal_events, simulate_finite
+from .particle_system import EventTable, JumpLedger, proposal_events, simulate_finite, window_count
 from .rngtools import particle_streams, stream
 from .stable_process import DrivingPath, path_from_window_sums
 
@@ -57,17 +57,16 @@ def replicate_inputs(
 def normalized_window_variables(
     counts: np.ndarray,
     sums: np.ndarray,
-    alpha: float,
     rng: np.random.Generator,
     spec: StableSpec,
 ) -> np.ndarray:
-    """W_k = sums_k / counts_k^{1/alpha} per window; fresh stable draws fill the empty ones."""
+    """W_k = sums_k / counts_k^{1/alpha} per window; fresh draws from ``spec`` fill the empty ones."""
     counts = np.asarray(counts, dtype=float)
     if np.any(counts < 0):
         raise ConfigError("window counts must be nonnegative")
     sums = np.asarray(sums, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = sums / counts ** (1.0 / alpha)
+        w = sums / counts ** (1.0 / spec.alpha)
     empty = counts == 0
     n_empty = int(empty.sum())
     if n_empty:
@@ -78,16 +77,13 @@ def normalized_window_variables(
 def build_coupled_driver(
     ledger: JumpLedger,
     collateral,
-    delta: float,
     rng: np.random.Generator,
     K: float = np.inf,
 ) -> DrivingPath:
     """Assemble the coupled driving path from the ledger's window aggregates."""
-    if abs(delta - ledger.delta) > 1e-12 * max(1.0, delta):
-        raise ConfigError("delta must match the ledger window length")
     spec = resolve_stable(collateral)
-    w = normalized_window_variables(ledger.window_counts, ledger.window_sums, spec.alpha, rng, spec)
-    return path_from_window_sums(w, delta, spec, K)
+    w = normalized_window_variables(ledger.window_counts, ledger.window_sums, rng, spec)
+    return path_from_window_sums(w, ledger.delta, spec, K)
 
 
 @dataclass(frozen=True)
@@ -179,7 +175,7 @@ def coupled_error_experiment(
     alpha = spec.alpha
     if alpha < 1.0 and alpha_minus is None:
         raise ConfigError("alpha_minus is required for the d_q error metric when alpha < 1")
-    horizon = int(math.ceil(T / delta - 1e-9)) * delta
+    horizon = window_count(T, delta) * delta
     obs_times = np.sort(np.asarray(obs_times, dtype=float))
 
     n_obs = obs_times.size
@@ -194,7 +190,7 @@ def coupled_error_experiment(
         fin, ledger = simulate_finite(
             model, collateral, initials, events, collateral_rng, horizon, delta, obs_times,
         )
-        driver = build_coupled_driver(ledger, collateral, delta, stream(master_seed, "fresh", r), K)
+        driver = build_coupled_driver(ledger, collateral, stream(master_seed, "fresh", r), K)
         lim = simulate_limit(model, driver, initials, events, obs_times)
         if alpha > 1.0:
             errs[idx] = np.abs(fin.positions - lim.positions).mean(axis=0)
@@ -209,7 +205,7 @@ def coupled_error_experiment(
         obs_times=obs_times,
         config={
             "N": N, "delta": delta, "K": K, "alpha": alpha,
-            "gamma": gamma, "seed": master_seed, "T": T,
+            "gamma": gamma, "seed": master_seed,
         },
         errs=errs,
         uncensored=cens,

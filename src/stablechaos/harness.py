@@ -30,6 +30,7 @@ from .distributions import (
 from .errors import ConfigError, UncoveredCase
 from .metrics import ks_two_sample, loglog_slope, wdq_upper, wp_empirical
 from .models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec, assumption_audit
+from .particle_system import window_count
 from .rngtools import stream
 from .stable_process import default_truncation
 
@@ -131,24 +132,41 @@ class ExperimentConfig:
                     f"[experiment] obs_count must be at least 2 (t = 0 and the horizon), "
                     f"got {self.obs_count}"
                 )
-            if min(self.n_list) < 2:
+            if not self.n_list or min(self.n_list) < 2:
                 raise ConfigError(f"n_list: every N must be at least 2, got {self.n_list}")
             if self.experiment == "coupling-sweep" and len(set(self.n_list)) < 3:
                 raise ConfigError(f"n_list: the slope fit needs 3 distinct N, got {self.n_list}")
             if alpha < 1.0 and self.alpha_minus is None:
                 raise ConfigError("alpha_minus is required when alpha < 1")
-            gamma = getattr(self.law, "gamma", None)
+            if self.eta is None and not isinstance(self.law, HeavyTailSpec):
+                raise ConfigError("exact-stable sweeps need an explicit eta")
+            if self.eta is not None and not math.isfinite(self.eta):
+                raise ConfigError(f"[experiment] eta must be finite, got {self.eta}")
             for n in self.n_list:
-                if self.eta is not None:
-                    delta = float(n) ** -self.eta
-                elif gamma is not None:
-                    delta, _, _ = choose_delta(alpha, gamma, n)
-                else:
-                    raise ConfigError("exact-stable sweeps need an explicit eta")
+                delta = _sweep_delta(self, n)[0]
                 if not (2.0 * delta * self.model.f.f_hi < 1.0):
                     raise ConfigError(
                         f"N={n}: window delta={delta:.4g} violates 2 delta f_hi < 1"
                     )
+        if self.experiment == "selfsim":
+            if self.n_windows < 1:
+                raise ConfigError(f"[experiment] n_windows must be at least 1, got {self.n_windows}")
+            if not (math.isfinite(self.poisson_mean) and self.poisson_mean > 0.0):
+                raise ConfigError(
+                    f"[experiment] poisson_mean must be positive and finite, got {self.poisson_mean}"
+                )
+        if self.experiment == "clt-rate":
+            if not isinstance(self.law, HeavyTailSpec):
+                raise ConfigError("[law] mode must be heavy: clt-rate requires a heavy-tailed law")
+            for key in ("clt_reps", "ref_size"):
+                if getattr(self, key) < 1:
+                    raise ConfigError(f"[experiment] {key} must be at least 1, got {getattr(self, key)}")
+            sizes = self.clt_n_list
+            if len(sizes) < 3 or len(set(sizes)) < 2 or min(sizes) < 1:
+                raise ConfigError(
+                    f"[experiment] clt_n_list: the slope fit needs 3 or more sizes >= 1, "
+                    f"not all equal, got {sizes}"
+                )
         return self
 
 
@@ -224,6 +242,12 @@ def _law_from_section(sec):
     )
 
 
+_EXPERIMENT_KEYS = (
+    "kind", "n_list", "horizon", "truncation", "alpha_minus", "eta", "replications",
+    "master_seed", "n_windows", "poisson_mean", "clt_n_list", "clt_reps", "ref_size", "obs_count",
+)
+
+
 def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     """Read the flat INI-style config (sections: experiment, model, law)."""
     parser = _ConfigParser()
@@ -233,6 +257,9 @@ def parse_config(path, seed_override: int | None = None) -> ExperimentConfig:
     if "experiment" not in parser or "law" not in parser:
         raise ConfigError("config needs [experiment] and [law] sections")
     exp = parser["experiment"]
+    for key in exp:
+        if key not in _EXPERIMENT_KEYS:
+            raise ConfigError(f"[experiment] {key} is not a known key")
     model = _model_from_section(parser["model"]) if "model" in parser else ModelSpec()
     law = _law_from_section(parser["law"])
 
@@ -367,15 +394,14 @@ def _snap_delta(delta: float, T: float) -> float:
     puts the terminal observation at a multiple of delta; the intermediate
     points of the shared observation grid may still fall inside a window.
     """
-    return T / math.ceil(T / delta - 1e-9)
+    return T / window_count(T, delta)
 
 
 def _sweep_delta(cfg: ExperimentConfig, n: int) -> tuple[float, float]:
     """(delta, predicted exponent) for one sweep point."""
     if cfg.eta is not None:
         return _snap_delta(float(n) ** -cfg.eta, cfg.T), float("nan")
-    gamma = getattr(cfg.law, "gamma")
-    delta, _, exponent = choose_delta(cfg.alpha, gamma, n)
+    delta, _, exponent = choose_delta(cfg.alpha, cfg.law.gamma, n)
     return _snap_delta(delta, cfg.T), exponent
 
 
@@ -491,9 +517,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int
         return 0
 
     if cfg.experiment == "clt-rate":
-        if not isinstance(cfg.law, HeavyTailSpec):
-            print("config error: clt-rate requires a heavy-tailed law", file=sys.stderr)
-            return 2
         res = clt_rate_experiment(
             cfg.law, cfg.clt_n_list, cfg.clt_reps, cfg.ref_size,
             stream(cfg.master_seed, "clt"), cfg.alpha_minus,
@@ -534,14 +557,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int
         return 0
 
     # chaos-test
+    metric = "w1" if cfg.alpha > 1.0 else f"wdq({cfg.alpha_minus:g})"
     with open(os.path.join(out_dir, "chaos.csv"), "w") as fh:
         fh.write("N,terminal_distance,metric,alpha,seed\n")
         for n, rep in reports.items():
-            if cfg.alpha > 1.0:
-                dist = chaos_distance(rep, cfg.alpha)
-                metric = "w1"
-            else:
-                dist = chaos_distance(rep, cfg.alpha, cfg.alpha_minus)
-                metric = f"wdq({cfg.alpha_minus:g})"
+            dist = chaos_distance(rep, cfg.alpha, cfg.alpha_minus)
             fh.write(f"{n},{dist:.12g},{metric},{cfg.alpha:.12g},{cfg.master_seed}\n")
     return 0

@@ -52,22 +52,14 @@ def simulate_limit(
     at the preceding grid point.
     """
     alpha = path.spec.alpha
-    model.validate(alpha)
     delta = path.grid_step
-    main_enabled = alpha < 1.0 and not model.psi.is_zero
-    if main_enabled and events is None:
+    walk = EventWalker(
+        model, alpha, initials, path.grid_times() if obs_times is None else obs_times,
+        path.horizon, delta, flow,
+    )
+    if walk.main and events is None:
         raise ConfigError("main jumps require a shared proposal-event table")
-
-    if obs_times is None:
-        obs_times = path.grid_times()
-    obs_times = np.sort(np.asarray(obs_times, dtype=float))
-    if obs_times.size and obs_times[-1] > path.horizon + _TOL:
-        raise ConfigError("observation times exceed the path horizon")
-
-    walk = EventWalker(model, initials, obs_times, delta, flow)
     M = walk.X.size
-    if M < 2:
-        raise ConfigError("need at least two particles for the empirical law")
     # Observations at t = 0 (or below the first window) come straight from initials.
     walk.record(_TOL)
     for k in range(path.n_cells):
@@ -76,7 +68,7 @@ def simulate_limit(
 
         # In-window actions (time, kind, index): sampled big jumps and thinned proposals.
         actions = _in_window(path.big_times, walk.t, t1, 1)
-        if main_enabled:
+        if walk.main:
             actions += _in_window(events.times, walk.t, t1, 0)
         actions.sort()
 
@@ -85,13 +77,13 @@ def simulate_limit(
             if kind == 1:
                 walk.X = walk.X + factor * float(path.big_sizes[j])
             elif events.particles[j] < M:
-                walk.thin(int(events.particles[j]), events.uniforms[j], True)
+                walk.thin(int(events.particles[j]), events.uniforms[j])
 
         walk.advance(t1, _TOL)
         walk.X = walk.X + factor * float(path.increments[k])
         walk.record(t1 + _TOL)
 
-    return TrajectoryBundle(times=obs_times, positions=walk.positions)
+    return TrajectoryBundle(times=walk.obs_times, positions=walk.positions)
 
 
 def picard_solve(

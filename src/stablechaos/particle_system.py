@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .distributions import HeavyTailSpec, StableSpec, sample_heavy, sample_stable
 from .errors import ConfigError
-from .models import ModelSpec, drift, kick
+from .models import ModelSpec, drift, kick, rate
 
 
 # ---------------------------------------------------------------------------
@@ -71,35 +72,17 @@ def proposal_events(n: int, f_hi: float, horizon: float, streams) -> EventTable:
     )
 
 
-# Draws per refill of a DrawCache.
+# Collateral sizes drawn per call of the vectorized sampler.
 _DRAW_CHUNK = 1024
 
 
-class DrawCache:
-    """Batches scalar draws from a vectorized sampler, preserving draw order."""
-
-    def __init__(self, sampler, rng):
-        self._sampler = sampler
-        self._rng = rng
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def take(self) -> float:
-        if self._pos >= self._buf.size:
-            self._buf = np.asarray(self._sampler(self._rng, _DRAW_CHUNK))
-            self._pos = 0
-        val = float(self._buf[self._pos])
-        self._pos += 1
-        return val
-
-
-def collateral_sampler(collateral):
-    """Sampler closure for either law family (heavy-tailed or exactly stable)."""
-    if isinstance(collateral, StableSpec):
-        return lambda rng, size: sample_stable(collateral, rng, size)
-    if isinstance(collateral, HeavyTailSpec):
-        return lambda rng, size: sample_heavy(collateral, rng, size)
-    raise ConfigError(f"unsupported collateral law {type(collateral).__name__}")
+def collateral_draws(collateral, rng):
+    """Chunks of collateral sizes from either law family, in draw order; each drawn only when asked for."""
+    if not isinstance(collateral, (StableSpec, HeavyTailSpec)):
+        raise ConfigError(f"unsupported collateral law {type(collateral).__name__}")
+    sampler = sample_stable if isinstance(collateral, StableSpec) else sample_heavy
+    while True:
+        yield sampler(collateral, rng, _DRAW_CHUNK)
 
 
 def flow(model: ModelSpec, X: np.ndarray, dt: float, flow_step: float) -> np.ndarray:
@@ -120,33 +103,32 @@ def flow(model: ModelSpec, X: np.ndarray, dt: float, flow_step: float) -> np.nda
     return X
 
 
-def _rate_scalar(model: ModelSpec, x: float) -> float:
-    f = model.f
-    if f.family == "constant":
-        return f.c
-    if f.family == "logistic":
-        # overflow-safe sigmoid
-        z = math.exp(-abs(x))
-        sig = 1.0 / (1.0 + z) if x >= 0.0 else z / (1.0 + z)
-        return f.lo + (f.hi - f.lo) * sig
-    return x
-
-
 class EventWalker:
     """Positions, clock and observation cursor shared by the finite and limit simulators.
 
     An observation before a flow target is recorded on the way; one at the
     target sees the state after what the caller applies there.  ``flow_fn``
     is the caller's module-level ``flow``, so each side's flows stay its own.
+    Construction checks what both simulators require: a model valid for
+    ``alpha``, at least two particles, and observations (sorted here) no
+    later than ``horizon`` + 1e-9.
     """
 
-    def __init__(self, model: ModelSpec, initials, obs_times: np.ndarray, delta: float, flow_fn):
+    def __init__(self, model: ModelSpec, alpha: float, initials, obs_times, horizon: float,
+                 delta: float, flow_fn):
+        model.validate(alpha)
         self.model = model
         self.X = np.array(initials, dtype=float, copy=True)
+        if self.X.size < 2:
+            raise ConfigError("need at least two particles")
+        self.obs_times = np.sort(np.asarray(obs_times, dtype=float))
+        if self.obs_times.size and self.obs_times[-1] > horizon + 1e-9:
+            raise ConfigError("observation times must not exceed the horizon")
         self.t = 0.0
-        self.obs_times = obs_times
-        self.positions = np.empty((self.X.size, obs_times.size))
+        self.positions = np.empty((self.X.size, self.obs_times.size))
         self.obs_idx = 0
+        # alpha < 1 only: an accepted proposal also moves its own particle
+        self.main = alpha < 1.0 and not model.psi.is_zero
         self._f_hi = model.f.f_hi
         self._flow = flow_fn
         self._flow_step = min(delta, 0.01)
@@ -169,10 +151,10 @@ class EventWalker:
             self.positions[:, self.obs_idx] = self.X
             self.obs_idx += 1
 
-    def thin(self, i: int, uniform: float, main: bool) -> bool:
-        """Thinning test of particle ``i``'s proposal; if accepted and ``main``, its main jump."""
-        accept = uniform * self._f_hi <= _rate_scalar(self.model, float(self.X[i]))
-        if accept and main:
+    def thin(self, i: int, uniform: float) -> bool:
+        """Thinning test of particle ``i``'s proposal; if accepted, its main jump (if any)."""
+        accept = uniform * self._f_hi <= rate(self.model, self.X[i])
+        if accept and self.main:
             self.X[i] += float(kick(self.model, self.X[i], self.X))
         return accept
 
@@ -210,26 +192,27 @@ def _window_index(times: np.ndarray, delta: float, n_windows: int) -> np.ndarray
     return np.clip(k, 0, n_windows - 1)
 
 
-def ledger_from_events(times, accepted, u, delta, horizon) -> JumpLedger:
-    n_windows = int(math.ceil(horizon / delta - 1e-9))
+def window_count(T: float, delta: float) -> int:
+    """Number of windows of length ``delta`` covering [0, T] (at least one).
+
+    A T within 1e-9 windows above a multiple of ``delta`` is taken as that
+    multiple, so a horizon that is a whole number of windows up to rounding
+    gains no extra window.
+    """
+    return max(1, int(math.ceil(T / delta - 1e-9)))
+
+
+def ledger_from_events(times, accepted, u, delta, n_windows) -> JumpLedger:
     times = np.asarray(times, dtype=float)
     accepted = np.asarray(accepted, dtype=bool)
     u = np.asarray(u, dtype=float)
-    acc_t = times[accepted]
-    acc_u = u[accepted]
-    if acc_t.size:
-        ks = _window_index(acc_t, delta, n_windows)
-        counts = np.bincount(ks, minlength=n_windows).astype(np.int64)
-        sums = np.bincount(ks, weights=acc_u, minlength=n_windows)
-    else:
-        counts = np.zeros(n_windows, dtype=np.int64)
-        sums = np.zeros(n_windows)
+    ks = _window_index(times[accepted], delta, n_windows)
     return JumpLedger(
         delta=delta,
         accepted=accepted,
         u=u,
-        window_counts=counts,
-        window_sums=sums,
+        window_counts=np.bincount(ks, minlength=n_windows).astype(np.int64),
+        window_sums=np.bincount(ks, weights=u[accepted], minlength=n_windows).astype(float),
     )
 
 
@@ -249,49 +232,39 @@ def simulate_finite(
 ) -> tuple[TrajectoryBundle, JumpLedger]:
     """Simulate the N = len(initials) particle system up to the window-grid horizon >= T.
 
-    The effective horizon is ceil(T / delta) * delta so that the jump ledger
-    always covers whole windows.  The initial positions, the merged
-    proposal-event table and the collateral RNG are one replicate's random
-    inputs (``coupling.replicate_inputs``); the coupling shares the first two
-    with the limit system.
+    The effective horizon is ``window_count(T, delta) * delta`` so that the
+    jump ledger always covers whole windows; observations may reach it.  The
+    initial positions, the merged proposal-event table and the collateral RNG
+    are one replicate's random inputs (``coupling.replicate_inputs``); the
+    coupling shares the first two with the limit system.
     """
     alpha = collateral.alpha
-    f_hi = model.f.f_hi
-    model.validate(alpha)
-    N = len(initials)
-    if N < 2:
-        raise ConfigError("need at least two particles")
-    if not (2.0 * delta * f_hi < 1.0):
-        raise ConfigError(f"need 2 * delta * f_hi < 1, got {2.0 * delta * f_hi}")
+    if not (2.0 * delta * model.f.f_hi < 1.0):
+        raise ConfigError(f"need 2 * delta * f_hi < 1, got {2.0 * delta * model.f.f_hi}")
+    n_windows = window_count(T, delta)
+    walk = EventWalker(
+        model, alpha, initials, [T] if obs_times is None else obs_times, n_windows * delta, delta, flow,
+    )
+    sizes = chain.from_iterable(collateral_draws(collateral, collateral_rng))
+    inv_root = walk.X.size ** (-1.0 / alpha)
 
-    horizon = int(math.ceil(T / delta - 1e-9)) * delta
-    if obs_times is None:
-        obs_times = np.array([T])
-    obs_times = np.sort(np.asarray(obs_times, dtype=float))
-    if obs_times.size and obs_times[-1] > horizon + 1e-12:
-        raise ConfigError("observation times must not exceed the horizon")
-
-    cache = DrawCache(collateral_sampler(collateral), collateral_rng)
-    inv_root = N ** (-1.0 / alpha)
-    main_enabled = alpha < 1.0 and not model.psi.is_zero
-
-    walk = EventWalker(model, initials, obs_times, delta, flow)
     n_ev = events.times.size
     accepted = np.zeros(n_ev, dtype=bool)
     u = np.full(n_ev, np.nan)
     for j in range(n_ev):
         walk.advance(float(events.times[j]))
         i = int(events.particles[j])
-        if walk.thin(i, events.uniforms[j], main_enabled):
-            u_val = cache.take()
+        if walk.thin(i, events.uniforms[j]):
+            u_val = float(next(sizes))
             accepted[j] = True
             u[j] = u_val
             xi = walk.X[i]
             walk.X = walk.X + u_val * inv_root
             walk.X[i] = xi
+    obs_times = walk.obs_times
     if walk.obs_idx < obs_times.size:
         walk.advance(float(obs_times[-1]))
         walk.record(obs_times[-1])
 
     bundle = TrajectoryBundle(times=obs_times, positions=walk.positions)
-    return bundle, ledger_from_events(events.times, accepted, u, delta, horizon)
+    return bundle, ledger_from_events(events.times, accepted, u, delta, n_windows)

@@ -29,25 +29,25 @@ def const_model(c=1.0):
 
 class TestWindowAggregate:
     def test_two_events(self):
-        ledger = ledger_from_events([0.1, 0.3], [True, True], [1.0, -2.0], 0.25, 0.5)
+        ledger = ledger_from_events([0.1, 0.3], [True, True], [1.0, -2.0], 0.25, 2)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [1, 1]
         assert sums.tolist() == [1.0, -2.0]
 
     def test_empty(self):
-        ledger = ledger_from_events([], [], [], 0.25, 1.0)
+        ledger = ledger_from_events([], [], [], 0.25, 4)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [0, 0, 0, 0]
         assert sums.tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_three_in_one_window(self):
-        ledger = ledger_from_events([0.1, 0.15, 0.2], [True] * 3, [1.0, 1.0, -1.0], 0.25, 0.25)
+        ledger = ledger_from_events([0.1, 0.15, 0.2], [True] * 3, [1.0, 1.0, -1.0], 0.25, 1)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [3]
         assert sums[0] == pytest.approx(1.0)
 
     def test_rejected_events_excluded(self):
-        ledger = ledger_from_events([0.1, 0.2], [True, False], [1.0, np.nan], 0.25, 0.25)
+        ledger = ledger_from_events([0.1, 0.2], [True, False], [1.0, np.nan], 0.25, 1)
         counts, sums = ledger.window_counts, ledger.window_sums
         assert counts.tolist() == [1]
         assert sums[0] == pytest.approx(1.0)
@@ -56,29 +56,29 @@ class TestWindowAggregate:
 class TestNormalizedWindowVariable:
     def test_single_event_identity(self):
         rng = stream(0, "fresh")
-        w = normalized_window_variables([1], [3.7], 1.5, rng, STABLE_15)
+        w = normalized_window_variables([1], [3.7], rng, STABLE_15)
         assert w[0] == pytest.approx(3.7)
         # not a fresh draw: the stream is left untouched
         assert rng.random() == stream(0, "fresh").random()
 
     def test_power_normalization(self):
         spec = StableSpec(alpha=0.5, a_plus=1.0, a_minus=1.0)
-        w = normalized_window_variables([4], [8.0], 0.5, stream(0, "fresh"), spec)
+        w = normalized_window_variables([4], [8.0], stream(0, "fresh"), spec)
         assert w[0] == pytest.approx(8.0 / 16.0)
 
     def test_empty_window_fresh_draw(self):
-        w = normalized_window_variables([0], [0.0], 1.5, stream(0, "fresh"), STABLE_15)
+        w = normalized_window_variables([0], [0.0], stream(0, "fresh"), STABLE_15)
         assert w[0] == sample_stable(STABLE_15, stream(0, "fresh"), 1)[0]
         assert np.isfinite(w[0])
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):
-            normalized_window_variables([-1], [0.0], 1.5, stream(0, "fresh"), STABLE_15)
+            normalized_window_variables([-1], [0.0], stream(0, "fresh"), STABLE_15)
 
     def test_mixed_windows(self):
         counts = np.array([0, 1, 4, 0, 2])
         sums = np.array([0.0, 3.0, 8.0, 0.0, -1.0])
-        w = normalized_window_variables(counts, sums, 1.5, stream(1, "fresh"), STABLE_15)
+        w = normalized_window_variables(counts, sums, stream(1, "fresh"), STABLE_15)
         assert w[1] == pytest.approx(3.0)
         assert w[2] == pytest.approx(8.0 / 4.0 ** (1.0 / 1.5))
         assert np.all(np.isfinite(w))
@@ -95,7 +95,7 @@ def exact_windows():
         inputs = replicate_inputs(model, 8, 50.0, 17, r)
         _, ledger = simulate_finite(model, STABLE_15, *inputs, 50.0, 0.4)
         counts = ledger.window_counts
-        w = normalized_window_variables(counts, ledger.window_sums, 1.5, rng, STABLE_15)
+        w = normalized_window_variables(counts, ledger.window_sums, rng, STABLE_15)
         keep = counts > 0
         counts_all.append(counts[keep])
         w_all.append(w[keep])
@@ -120,11 +120,6 @@ class TestExactMode:
 
 
 class TestCoupledDriver:
-    def test_delta_mismatch_rejected(self):
-        ledger = ledger_from_events([], [], [], 0.25, 1.0)
-        with pytest.raises(ConfigError):
-            build_coupled_driver(ledger, STABLE_15, 0.5, stream(0, "fresh"))
-
     def test_interaction_identity(self):
         # the interaction term A^N_T = N^{-1/alpha} * (sum of accepted u)
         # equals sum_k (P_k / N)^{1/alpha} W_k exactly
@@ -133,7 +128,7 @@ class TestCoupledDriver:
         inputs = replicate_inputs(model, n, 2.0, 19, 0)
         _, ledger = simulate_finite(model, STABLE_15, *inputs, 2.0, 0.25)
         counts = ledger.window_counts
-        w = normalized_window_variables(counts, ledger.window_sums, 1.5, stream(19, "fresh"), STABLE_15)
+        w = normalized_window_variables(counts, ledger.window_sums, stream(19, "fresh"), STABLE_15)
         nonzero = counts > 0
         recon = np.sum(
             (counts[nonzero] / n) ** (1.0 / 1.5) * w[nonzero]
@@ -149,7 +144,7 @@ class TestCoupledDriver:
         for r in range(400):
             initial, events, collateral_rng = replicate_inputs(model, 8, 1.0, 23, r)
             _, ledger = simulate_finite(model, STABLE_15, initial, events, collateral_rng, 1.0, 0.25)
-            driver = build_coupled_driver(ledger, STABLE_15, 0.25, stream(23, "fresh", r))
+            driver = build_coupled_driver(ledger, STABLE_15, stream(23, "fresh", r))
             inits.append(initial[0])
             incs.append(driver.increments)
         inits = np.asarray(inits)

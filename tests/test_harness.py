@@ -328,6 +328,79 @@ class TestObservationGrid:
         assert not any(out.glob("*.csv"))
 
 
+def _config_text(kind, law, experiment):
+    """Config text with the [experiment] keys ``experiment`` and the LAW_SECTIONS law ``law``."""
+    exp = "".join(f"{k} = {v}\n" for k, v in {"kind": kind, **experiment}.items())
+    law_keys = "".join(f"{k} = {v}\n" for k, v in LAW_SECTIONS[law].items())
+    return f"[experiment]\n{exp}\n[law]\nmode = {law}\n{law_keys}"
+
+
+class TestExperimentInputs:
+    SMALL = {
+        "selfsim": {"n_windows": 200, "poisson_mean": 5},
+        "clt-rate": {"clt_n_list": "10 20 40", "clt_reps": 50, "ref_size": 500},
+        "coupling-sweep": {"n_list": "8 16 32", "eta": 0.5, "replications": 2, "obs_count": 2},
+    }
+
+    @pytest.mark.parametrize(
+        "kind,section,key,value",
+        [
+            ("selfsim", "experiment", "n_windows", "0"),
+            ("selfsim", "experiment", "poisson_mean", "0"),
+            ("selfsim", "experiment", "poisson_mean", "-1"),
+            ("clt-rate", "experiment", "clt_reps", "0"),
+            ("clt-rate", "experiment", "ref_size", "0"),
+            ("clt-rate", "experiment", "clt_n_list", "10 20"),
+            ("clt-rate", "experiment", "clt_n_list", "10 10 10"),
+            ("clt-rate", "experiment", "clt_n_list", "0 20 40"),
+            ("clt-rate", "law", "mode", "stable"),
+            ("coupling-sweep", "experiment", "eta", "nan"),
+            ("coupling-sweep", "experiment", "eta", "inf"),
+        ],
+    )
+    def test_bad_input_exit_code(self, tmp_path, capsys, kind, section, key, value):
+        experiment = dict(self.SMALL[kind])
+        law = "heavy" if kind == "clt-rate" else "stable"
+        if section == "law":
+            law = value
+        else:
+            experiment[key] = value
+        p = tmp_path / "cfg.ini"
+        p.write_text(_config_text(kind, law, experiment))
+        out = tmp_path / "out"
+        assert cli_main([kind, "--config", str(p), "--out", str(out)]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["middle", "replication"])
+    def test_unknown_key_named(self, tmp_path, capsys, key):
+        p = tmp_path / "cfg.ini"
+        p.write_text(_config_text("selfsim", "stable", {**self.SMALL["selfsim"], key: 5}))
+        out = tmp_path / "out"
+        assert cli_main(["selfsim", "--config", str(p), "--out", str(out)]) == 2
+        assert f"[experiment] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSnappedWindowValidation:
+    def test_condition_checked_on_the_simulated_delta(self, tmp_path):
+        # N = 8: N^-eta = 0.470 breaks 2 delta f_hi < 1, but the simulated
+        # window, snapped to divide the horizon, is 1/3 and satisfies it
+        p = tmp_path / "cfg.ini"
+        p.write_text(
+            _config_text(
+                "coupling-sweep", "stable",
+                {"n_list": "8 16 32", "eta": 0.363, "replications": 2, "obs_count": 2, "master_seed": 3},
+            )
+            + "\n[model]\nf = logistic\nf_lo = 0.5\nf_hi = 1.1\nnu0 = gaussian\n"
+        )
+        out = tmp_path / "out"
+        assert cli_main(["coupling-sweep", "--config", str(p), "--out", str(out)]) == 0
+        rows = (out / "coupling_sweep.csv").read_text().splitlines()[1:]
+        deltas = {int(r.split(",")[5]): float(r.split(",")[6]) for r in rows}
+        assert deltas[8] == pytest.approx(1.0 / 3.0)
+
+
 class TestDegenerateSweeps:
     @staticmethod
     def _config(experiment, **kwargs):

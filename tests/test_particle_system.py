@@ -149,7 +149,7 @@ class TestBookkeeping:
 class TestLedgerWindows:
     def test_boundary_event_belongs_to_left_window(self):
         # window k covers (k delta, (k+1) delta]
-        ledger = ledger_from_events([0.25, 0.2500000001], [True, True], [1.0, 1.0], 0.25, 1.0)
+        ledger = ledger_from_events([0.25, 0.2500000001], [True, True], [1.0, 1.0], 0.25, 4)
         assert ledger.window_counts[0] == 1
         assert ledger.window_counts[1] == 1
 
