@@ -12,10 +12,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from . import __version__
 from .coupling import CouplingReport, coupled_error_experiment, resolve_stable
@@ -27,9 +26,9 @@ from .distributions import (
     stable_params_from_heavy,
     validate_heavy_tail,
 )
-from .errors import ConfigError, UncoveredCase
-from .metrics import ks_two_sample, loglog_slope, wdq_upper, wp_empirical
-from .models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec, assumption_audit
+from .errors import ConfigError, DegenerateDesign, UncoveredCase
+from .metrics import chi2_independence_p, ks_two_sample, loglog_slope, wdq_upper, wp_empirical
+from .models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
 from .particle_system import window_count
 from .rngtools import stream
 from .stable_process import default_truncation
@@ -119,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError("replications must be at least 1")
         if not (math.isfinite(self.T) and self.T > 0.0):
             raise ConfigError(f"[experiment] horizon must be positive and finite, got {self.T}")
+        if self.K is not None and not self.K > 0.0:
+            raise ConfigError(f"[experiment] truncation must be positive, got {self.K}")
         self.model.validate(self.alpha)
         alpha = self.alpha
         if self.alpha_minus is not None:
@@ -310,8 +311,12 @@ def selfsim_experiment(
     Window counts P ~ Pois(poisson_mean); each window's W is the normalized
     sum of P fresh stable draws.  Under strict stability W is again stable
     and independent of P; both facts are tested (KS against fresh draws,
-    chi-square independence on a 4x4 quantile grid).
+    chi-square independence on a 4x4 quantile grid).  Raises ``ConfigError``
+    when the draws leave no non-empty window or fewer than 2 x 2 non-empty
+    cells, which small ``n_windows`` or ``poisson_mean`` can do.
     """
+    too_few = (f"[experiment] n_windows = {n_windows} and [experiment] poisson_mean = "
+               f"{poisson_mean:g} leave too few non-empty windows")
     counts = rng.poisson(poisson_mean, n_windows)
     total = int(counts.sum())
     ys = sample_stable(spec, rng, total)
@@ -319,6 +324,8 @@ def selfsim_experiment(
     ends = np.cumsum(counts)
     sums = cs[ends] - cs[ends - counts]
     nonzero = counts > 0
+    if not nonzero.any():
+        raise ConfigError(f"{too_few}: every window is empty")
     w = sums[nonzero] / counts[nonzero] ** (1.0 / spec.alpha)
     ref = sample_stable(spec, rng, int(nonzero.sum()))
     ks = ks_two_sample(w, ref)
@@ -330,7 +337,10 @@ def selfsim_experiment(
     w_bin = np.searchsorted(w_edges, w, side="right")
     table = np.zeros((4, 4))
     np.add.at(table, (p_bin, w_bin), 1.0)
-    chi2_p = float(sps.chi2_contingency(table)[1])
+    try:
+        chi2_p = chi2_independence_p(table)
+    except DegenerateDesign as exc:
+        raise ConfigError(f"{too_few} for the independence test ({exc})") from None
 
     return {
         "alpha": spec.alpha,
@@ -505,9 +515,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> int
 
     if cfg.experiment == "selfsim":
         spec = resolve_stable(cfg.law)
-        res = selfsim_experiment(
-            spec, cfg.n_windows, cfg.poisson_mean, stream(cfg.master_seed, "selfsim")
-        )
+        try:
+            res = selfsim_experiment(
+                spec, cfg.n_windows, cfg.poisson_mean, stream(cfg.master_seed, "selfsim")
+            )
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         with open(os.path.join(out_dir, "selfsim.csv"), "w") as fh:
             fh.write("alpha,n_windows,poisson_mean,ks_stat,chi2_p,frac_fresh\n")
             fh.write(

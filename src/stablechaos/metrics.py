@@ -9,6 +9,7 @@ bound, which is what every decay experiment in this library needs.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import chdtrc
 
 from .errors import DegenerateDesign, EmptySample
 
@@ -88,6 +89,22 @@ def ks_two_sample(xs, ys) -> float:
     cdf_x = np.searchsorted(x, both, side="right") / x.size
     cdf_y = np.searchsorted(y, both, side="right") / y.size
     return float(np.max(np.abs(cdf_x - cdf_y)))
+
+
+def chi2_independence_p(table) -> float:
+    """Pearson chi-square independence p-value of a contingency table.
+
+    Empty rows and columns are dropped first, so no expected count is zero;
+    the degrees of freedom are (r - 1)(c - 1) of what is left.
+    """
+    t = np.asarray(table, dtype=float)
+    t = t[t.sum(axis=1) > 0][:, t.sum(axis=0) > 0]
+    r, c = t.shape
+    if r < 2 or c < 2:
+        raise DegenerateDesign(f"need at least 2 x 2 non-empty cells, got {r} x {c}")
+    expected = t.sum(axis=1, keepdims=True) * t.sum(axis=0, keepdims=True) / t.sum()
+    stat = ((t - expected) ** 2 / expected).sum()
+    return float(chdtrc((r - 1) * (c - 1), stat))
 
 
 def loglog_slope(points) -> tuple[float, float]:

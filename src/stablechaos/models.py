@@ -131,24 +131,33 @@ class ModelSpec:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def sorted_tanh_mean(positions: np.ndarray) -> float:
-    """<tanh, mu> computed with a canonical (sorted) summation order.
+def sorted_tanh_mean(tanh_values: np.ndarray) -> float:
+    """<tanh, mu> from the tanh of mu's support points, summed in sorted order.
 
-    Sorting makes the reduction invariant under particle permutations bit for
-    bit, which the exchangeability contract of the simulators relies on.
+    Sorts ``tanh_values`` in place.  Sorting makes the reduction invariant
+    under particle permutations bit for bit, which the exchangeability
+    contract of the simulators relies on.
     """
-    return float(np.sort(np.tanh(positions)).sum() / positions.size)
+    tanh_values.sort()
+    return float(tanh_values.sum() / tanh_values.size)
 
 
 def drift(spec: ModelSpec, x, positions: np.ndarray | None):
+    """b(x, mu) with mu the empirical law of ``positions``; neither input is modified.
+
+    When ``positions is x`` (every caller inside the simulators), tanh is taken
+    once and that temporary is sorted for the measure term.
+    """
     x = np.asarray(x, dtype=float)
     if spec.b.is_zero:
         return np.zeros_like(x)
-    out = -spec.b.beta0 * np.tanh(x)
+    tanh_x = np.tanh(x)
+    out = -spec.b.beta0 * tanh_x
     if spec.b.depends_on_measure:
         if positions is None or positions.size == 0:
             raise EmptyMeasure("drift requires a nonempty empirical measure")
-        out = out + spec.b.beta1 * np.tanh(sorted_tanh_mean(positions))
+        tanh_mu = tanh_x if positions is x else np.tanh(positions)
+        out += spec.b.beta1 * np.tanh(sorted_tanh_mean(tanh_mu))
     return out
 
 

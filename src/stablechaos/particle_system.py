@@ -86,20 +86,36 @@ def collateral_draws(collateral, rng):
 
 
 def flow(model: ModelSpec, X: np.ndarray, dt: float, flow_step: float) -> np.ndarray:
-    """Integrate dx/dt = b(x, mu) over dt by RK4; mu is the moving empirical law."""
+    """Integrate dx/dt = b(x, mu) over dt by RK4; mu is the moving empirical law.
+
+    Each step keeps the operation order of the textbook
+    ``X + h/6 (k1 + 2 k2 + 2 k3 + k4)``, in one reused stage buffer and in
+    place in ``k1``, so the bits are the same; ``X`` itself is never written.
+    """
     if model.b.is_zero or dt <= 0.0:
         return X
     nsub = max(1, int(math.ceil(dt / flow_step)))
     h = dt / nsub
+    half = 0.5 * h
+    stage = np.empty_like(X, dtype=float)
     for _ in range(nsub):
         k1 = drift(model, X, X)
-        x2 = X + 0.5 * h * k1
-        k2 = drift(model, x2, x2)
-        x3 = X + 0.5 * h * k2
-        k3 = drift(model, x3, x3)
-        x4 = X + h * k3
-        k4 = drift(model, x4, x4)
-        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        np.multiply(k1, half, out=stage)
+        stage += X
+        k2 = drift(model, stage, stage)
+        np.multiply(k2, half, out=stage)
+        stage += X
+        k3 = drift(model, stage, stage)
+        np.multiply(k3, h, out=stage)
+        stage += X
+        k4 = drift(model, stage, stage)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= h / 6.0
+        X = X + k1
     return X
 
 

@@ -1,6 +1,8 @@
 """Tests for window selection, config parsing, experiments, and the CLI."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +358,9 @@ class TestExperimentInputs:
             ("clt-rate", "law", "mode", "stable"),
             ("coupling-sweep", "experiment", "eta", "nan"),
             ("coupling-sweep", "experiment", "eta", "inf"),
+            ("coupling-sweep", "experiment", "truncation", "nan"),
+            ("coupling-sweep", "experiment", "truncation", "0"),
+            ("coupling-sweep", "experiment", "truncation", "-1"),
         ],
     )
     def test_bad_input_exit_code(self, tmp_path, capsys, kind, section, key, value):
@@ -371,6 +376,30 @@ class TestExperimentInputs:
         assert cli_main([kind, "--config", str(p), "--out", str(out)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,code",
+        [("n_windows", 1, 2), ("n_windows", 2, 0), ("poisson_mean", 0.01, 2),
+         ("poisson_mean", 0.2, 2), ("poisson_mean", 1e-6, 2)],
+    )
+    def test_small_selfsim_inputs_exit_cleanly(self, tmp_path, capsys, key, value, code):
+        """Few non-empty windows: a finite row from the test on what is left, or exit 2 and no CSV.
+
+        Two windows with distinct counts leave a 2 x 2 table; the others leave
+        one row or column, or no non-empty window at all.
+        """
+        p = tmp_path / "cfg.ini"
+        p.write_text(_config_text("selfsim", "stable", {**self.SMALL["selfsim"], key: value}))
+        out = tmp_path / "out"
+        assert cli_main(["selfsim", "--config", str(p), "--out", str(out)]) == code
+        if code == 0:
+            row = (out / "selfsim.csv").read_text().splitlines()[1].split(",")
+            assert np.all(np.isfinite([float(v) for v in row]))
+        else:
+            err = capsys.readouterr().err
+            assert "config error:" in err
+            assert "[experiment] n_windows" in err and "[experiment] poisson_mean" in err
+            assert not (out / "selfsim.csv").exists()
 
     @pytest.mark.parametrize("key", ["middle", "replication"])
     def test_unknown_key_named(self, tmp_path, capsys, key):
@@ -493,3 +522,11 @@ class TestCli:
         assert cli_main(["selfsim", "--config", str(p), "--out", str(out)] + argv) == 2
         assert needle in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """The CLI's import path needs only ``scipy.special``, not the slow-to-import ``scipy.stats``."""
+    code = "import sys, stablechaos.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -62,3 +62,5 @@ def test_tracer_counts_a_coupled_sweep(tmp_path):
     metrics = layertrace.layer_metrics(tracer, 1, 0.0)
     for name in ("models.drift_calls", "particle_system.accepted", "distributions.sample_heavy_draws"):
         assert metrics[name] > 0, name
+    # every measure-dependent drift reaches the sorted mean through the patched module attribute
+    assert metrics["models.sorted_tanh_mean_calls"] == metrics["models.drift_calls"]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2_contingency
 
 from stablechaos.errors import DegenerateDesign, EmptySample
 from stablechaos.metrics import (
+    chi2_independence_p,
     d_q,
     ks_two_sample,
     loglog_slope,
@@ -79,6 +81,24 @@ class TestKs:
 
     def test_interleaved(self):
         assert ks_two_sample([1.0, 3.0], [2.0, 4.0]) == pytest.approx(0.5)
+
+
+class TestChi2Independence:
+    def test_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            t = rng.integers(0, 40, (4, 4)).astype(float)
+            t[t.sum(axis=1) == 0, 0] = 1.0
+            t[0, t.sum(axis=0) == 0] = 1.0
+            assert chi2_independence_p(t) == float(chi2_contingency(t)[1])
+
+    def test_empty_rows_and_columns_dropped(self):
+        t = np.array([[5.0, 0.0, 3.0], [0.0, 0.0, 0.0], [2.0, 0.0, 9.0]])
+        assert chi2_independence_p(t) == chi2_independence_p(t[[0, 2]][:, [0, 2]])
+
+    def test_fewer_than_two_by_two_cells(self):
+        with pytest.raises(DegenerateDesign):
+            chi2_independence_p([[0.0, 4.0], [0.0, 7.0]])
 
 
 class TestLoglogSlope:

@@ -11,6 +11,7 @@ from stablechaos.models import (
     ModelSpec,
     RateSpec,
     assumption_audit,
+    drift,
     eval_component,
     sorted_tanh_mean,
 )
@@ -56,8 +57,47 @@ class TestEval:
 
     def test_sorted_tanh_mean_permutation_invariant(self):
         rng = np.random.default_rng(0)
-        x = rng.normal(0, 2, 257)
-        assert sorted_tanh_mean(x) == sorted_tanh_mean(rng.permutation(x))
+        t = np.tanh(rng.normal(0, 2, 257))
+        assert sorted_tanh_mean(t.copy()) == sorted_tanh_mean(rng.permutation(t))
+
+
+def textbook_drift(spec, x, p):
+    """The drift formula written out, with tanh taken twice and a sorted copy."""
+    b = spec.b
+    return -b.beta0 * np.tanh(x) + b.beta1 * np.tanh(np.sort(np.tanh(p)).sum() / p.size)
+
+
+class TestDriftBits:
+    """``drift`` gives the bits of the written-out formula and writes into no input."""
+
+    SPEC = ModelSpec(b=DriftSpec("tanh", beta0=1.0, beta1=0.5))
+
+    def _check(self, x, p):
+        x_before, p_before = x.copy(), p.copy()
+        got = drift(self.SPEC, x, p)
+        assert np.array_equal(got, textbook_drift(self.SPEC, x_before, p_before))
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(p, p_before)
+
+    def test_positions_are_x(self):
+        x = np.random.default_rng(1).normal(0, 2, 1001)
+        self._check(x, x)
+
+    def test_distinct_positions(self):
+        rng = np.random.default_rng(2)
+        self._check(rng.normal(0, 2, 300), rng.standard_cauchy(517))
+
+    def test_column_view(self):
+        grid = np.random.default_rng(3).normal(0, 2, (257, 5))
+        col = grid[:, 2]
+        assert not col.flags.c_contiguous
+        self._check(col, col)
+
+    def test_saturated_ties(self):
+        rng = np.random.default_rng(4)
+        x = rng.choice([-1.0, 1.0], 400) * rng.uniform(20.5, 60.0, 400)
+        assert np.unique(np.tanh(x)).size == 2
+        self._check(x, x)
 
 
 class TestValidate:

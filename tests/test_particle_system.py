@@ -9,8 +9,8 @@ from stablechaos.coupling import replicate_inputs
 from stablechaos.distributions import StableSpec, validate_heavy_tail
 from stablechaos.errors import ConfigError
 from stablechaos.limit_system import simulate_limit
-from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec
-from stablechaos.particle_system import ledger_from_events, proposal_events, simulate_finite
+from stablechaos.models import DriftSpec, InitSpec, KickSpec, ModelSpec, RateSpec, drift
+from stablechaos.particle_system import flow, ledger_from_events, proposal_events, simulate_finite
 from stablechaos.rngtools import particle_streams, stream
 from stablechaos.stable_process import sample_driving_path
 
@@ -235,3 +235,32 @@ class TestObservationRules:
         assert np.allclose(pos[:, 6], pos[:, 4] + factor * path.increments[0], rtol=0, atol=1e-12)
         assert np.array_equal(pos[:, 5], pos[:, 6])
         assert not np.array_equal(pos[:, 4], pos[:, 6])
+
+
+def textbook_flow(model, X, dt, flow_step):
+    """RK4 written out as one expression per stage, the reference for ``flow``'s bits."""
+    nsub = max(1, int(math.ceil(dt / flow_step)))
+    h = dt / nsub
+    for _ in range(nsub):
+        k1 = drift(model, X, X)
+        x2 = X + 0.5 * h * k1
+        k2 = drift(model, x2, x2)
+        x3 = X + 0.5 * h * k2
+        k3 = drift(model, x3, x3)
+        x4 = X + h * k3
+        k4 = drift(model, x4, x4)
+        X = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return X
+
+
+class TestFlowBits:
+    MODEL = ModelSpec(b=DriftSpec("tanh", beta0=1.0, beta1=0.5))
+
+    @pytest.mark.parametrize("n,dt", [(2, 0.004), (257, 0.01), (4096, 0.037)])
+    def test_equals_textbook_rk4_and_keeps_input(self, n, dt):
+        X = np.random.default_rng(n).standard_cauchy(n)
+        before = X.copy()
+        got = flow(self.MODEL, X, dt, 0.01)
+        assert np.array_equal(got, textbook_flow(self.MODEL, before, dt, 0.01))
+        assert np.array_equal(X, before)
+        assert got is not X
